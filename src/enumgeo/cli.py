@@ -220,28 +220,37 @@ def _cmd_sw_dimension(args) -> int:
     return 0
 
 
+def _wall(value, kind: type):
+    if type(value) is not kind:  # exact: bool is an int, int() truncates 2.7
+        raise ValueError(f"wall file: expected {kind.__name__}, got {value!r}")
+    return value
+
+
 def _pair_to_fraction(pair) -> Fraction:
-    return Fraction(int(pair[0]), int(pair[1]))
+    if len(_wall(pair, list)) != 2 or _wall(pair[1], int) == 0:
+        raise ValueError("wall file: expected [numerator, nonzero "
+                         f"denominator], got {pair!r}")
+    return Fraction(_wall(pair[0], int), pair[1])
 
 
 def _cmd_sw_mochizuki(args) -> int:
     with open(args.file, encoding="utf-8") as fh:
-        data = json.load(fh)
-    vdata = data["v"]
-    v = inv.ChernVector(r=int(vdata["r"]), a_h=int(vdata["a_h"]),
-                        a_K=int(vdata["a_K"]), a_sq=int(vdata["a_sq"]),
+        data = _wall(json.load(fh), dict)
+    vdata = _wall(data["v"], dict)
+    v = inv.ChernVector(*[_wall(vdata[k], int)
+                          for k in ("r", "a_h", "a_K", "a_sq")],
                         n=_pair_to_fraction(vdata["n"]))
     chi = _pair_to_fraction(data["chi_v"])
-    decomps = [inv.SWDecomposition(a1_h=int(d["a1_h"]), a2_h=int(d["a2_h"]),
-                                   sw_a1=int(d["sw"]),
-                                   a_value=_pair_to_fraction(d["A"]))
-               for d in data["decomps"]]
+    decomps = [inv.SWDecomposition(
+        *[_wall(_wall(d, dict)[k], int) for k in ("a1_h", "a2_h", "sw")],
+        a_value=_pair_to_fraction(d["A"]))
+        for d in _wall(data["decomps"], list)]
     k_dot_h = data.get("k_dot_h")
+    if k_dot_h is not None:
+        k_dot_h = _wall(k_dot_h, int)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = inv.mochizuki_sum(v, chi, decomps,
-                                   k_dot_h=int(k_dot_h)
-                                   if k_dot_h is not None else None)
+        result = inv.mochizuki_sum(v, chi, decomps, k_dot_h=k_dot_h)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
     if args.format == "json":

@@ -13,7 +13,8 @@ from math import comb
 from typing import Sequence, Union
 
 from .lattice import ParityViolation
-from .series import QSeries, int_binomial, product_family
+from .modforms import divisor_sigma, theta_e8
+from .series import QSeries, _euler_product_t, product_family
 
 Rational = Union[int, Fraction]
 
@@ -203,38 +204,19 @@ def hilb_euler_series(surface: SurfaceData, order: int) -> QSeries:
     return product_family(lambda m: -chi, order)
 
 
-def _biseries_factor(t_exp: int, q_exp: int, exponent: int, sign: int,
-                     order: int) -> BiSeries:
-    """(1 + sign * t**t_exp * q**q_exp)**exponent, truncated."""
-    polys = [[0] for _ in range(order + 1)]
-    polys[0] = [1]
-    for j in range(1, order // q_exp + 1):
-        c = int_binomial(exponent, j) * sign ** j
-        poly = [0] * (t_exp * j) + [c]
-        polys[q_exp * j] = poly
-    return BiSeries(polys, order=order)
-
-
 def goettsche_series(surface: SurfaceData, order: int) -> BiSeries:
     """Göttsche's product for Hilbert-scheme Betti numbers.
 
     For each m >= 1 the five factors (1 - (-t)**(2m-2+i) q**m) enter with
     exponent (-1)**(i+1) b_i, i = 0..4.  The q**k coefficient is the
     Poincaré polynomial of the k-point Hilbert scheme; t = -1 recovers the
-    Euler-characteristic series.
+    Euler-characteristic series.  All factors are expanded at once by the
+    integer Euler-product recurrence with t packed as a power of two.
     """
-    out = BiSeries.one(order)
     b = surface.betti
-    for m in range(1, order + 1):
-        for i in range(5):
-            if not b[i]:
-                continue
-            a = 2 * m - 2 + i
-            # (1 - (-t)^a q^m)^(\pm b_i): sign of the t-term is -(-1)^a
-            sign = -1 if a % 2 == 0 else 1
-            exponent = b[i] if i % 2 else -b[i]
-            out = out * _biseries_factor(a, m, exponent, sign, order)
-    return out
+    factors = [(m, 2 * m - 2 + i, (-1) ** i, b[i] if i % 2 else -b[i])
+               for m in range(1, order + 1) for i in range(5) if b[i]]
+    return BiSeries(_euler_product_t(factors, order), order=order)
 
 
 def bryan_leung_series(genus: int, order: int) -> QSeries:
@@ -246,13 +228,9 @@ def bryan_leung_series(genus: int, order: int) -> QSeries:
     if genus == 0:
         return base
     prefactor = QSeries(
-        [Fraction((k + 1) * _sigma1(k + 1)) for k in range(order + 1)],
+        [(k + 1) * divisor_sigma(k + 1, 1) for k in range(order + 1)],
         order=order)
     return prefactor ** genus * base
-
-
-def _sigma1(n: int) -> int:
-    return sum(d for d in range(1, n + 1) if n % d == 0)
 
 
 def elliptic_genus1_coeffs(order: int) -> list:
@@ -281,7 +259,6 @@ def half_k3_z1(order: int) -> QSeries:
     """Rank-one partition series of the rational elliptic surface:
     E8 theta series times the twelfth-power eta quotient, the fractional
     shifts cancelling.  Equals E4 * prod(1-q**m)**-12 at shift zero."""
-    from .modforms import theta_e8
     return theta_e8(order, method="eisenstein") * product_family(
         lambda m: -12, order)
 

@@ -9,20 +9,21 @@ The shift carries fractional prefactors such as q**(1/24) through products
 exactly; ring operations (exp, log, q*d/dq, addition of scalars) require a
 zero shift.  All arithmetic is exact over ``fractions.Fraction``; nothing
 here ever rounds.
+
+Products run on Python integers.  A product of two series packs each
+operand's numerators over their common denominator into one integer and
+multiplies once (Kronecker substitution).  Infinite products
+prod (1 - c*q**m)**e follow the logarithmic-derivative recurrence over Z.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
+from operator import mul
 from typing import Callable, Iterable, Union
 
 Rational = Union[int, Fraction]
-
-#: series order above which multiplication switches to Karatsuba
-KARATSUBA_THRESHOLD = 512
-
-_KARATSUBA_BASE = 32
 
 
 class SeriesError(ValueError):
@@ -61,55 +62,69 @@ def _as_fraction(value: Rational) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-def _schoolbook(a: list, b: list, n_out: int) -> list:
-    out = [Fraction(0)] * n_out
-    for i in range(min(len(a), n_out)):
-        ai = a[i]
-        if not ai:
-            continue
-        for j in range(min(len(b), n_out - i)):
-            bj = b[j]
-            if bj:
-                out[i + j] += ai * bj
-    return out
+def _scaled(coeffs) -> tuple:
+    """Integer numerators over the lcm of the denominators, and that lcm."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
-def _kara_full(a: list, b: list) -> list:
-    """Full product of two coefficient lists, Karatsuba recursion."""
-    na, nb = len(a), len(b)
-    if not na or not nb:
-        return []
-    if min(na, nb) <= _KARATSUBA_BASE:
-        return _schoolbook(a, b, na + nb - 1)
-    m = max(na, nb) // 2
-    a0, a1 = a[:m], a[m:]
-    b0, b1 = b[:m], b[m:]
-    z0 = _kara_full(a0, b0)
-    z2 = _kara_full(a1, b1)
-    sa = [x + y for x, y in zip(a0, a1)] + (a1[len(a0):] or a0[len(a1):])
-    sb = [x + y for x, y in zip(b0, b1)] + (b1[len(b0):] or b0[len(b1):])
-    z1 = _kara_full(sa, sb)
-    for k, v in enumerate(z0):
-        z1[k] -= v
-    for k, v in enumerate(z2):
-        z1[k] -= v
-    out = [Fraction(0)] * (na + nb - 1)
-    for k, v in enumerate(z0):
-        out[k] += v
-    for k, v in enumerate(z1):
-        if v:
-            out[k + m] += v
-    for k, v in enumerate(z2):
-        out[k + 2 * m] += v
-    return out
+def _width(bound: int) -> int:
+    """Bytes per digit for signed digits of absolute value <= bound."""
+    return bound.bit_length() // 8 + 1
 
 
-def _convolve(a: list, b: list, n_out: int) -> list:
-    if n_out > KARATSUBA_THRESHOLD:
-        full = _kara_full(a[:n_out], b[:n_out])
-        full = full[:n_out]
-        return full + [Fraction(0)] * (n_out - len(full))
-    return _schoolbook(a, b, n_out)
+def _bias(width: int, count: int) -> int:
+    """Adding this makes ``count`` signed digits non-negative."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+
+
+def _pack(digits: list, width: int) -> int:
+    """sum(d_i * 2**(8*width*i)) for signed digits |d_i| < 2**(8*width-1)."""
+    half = 1 << (8 * width - 1)
+    data = b"".join((d + half).to_bytes(width, "little") for d in digits)
+    return int.from_bytes(data, "little") - _bias(width, len(digits))
+
+
+def _unpack(value: int, width: int, count: int) -> list:
+    """Inverse of ``_pack``: the ``count`` signed digits of ``value``;
+    ``to_bytes`` raises OverflowError when they cannot hold it."""
+    data = (value + _bias(width, count)).to_bytes(width * count, "little")
+    half = 1 << (8 * width - 1)
+    return [int.from_bytes(data[i:i + width], "little") - half
+            for i in range(0, width * count, width)]
+
+
+def _euler_product(factors: Iterable, order: int) -> list:
+    """f_0..f_order of prod (1 - c*q**m)**e over integer (m, c, e), m >= 1,
+    by n*f_n = sum_{k=1..n} g_k*f_{n-k}, g_k = -sum_{m|k} m*e*c**(k/m)."""
+    g = [0] * (order + 1)
+    for m, c, e in factors:
+        power = 1
+        for k in range(m, order + 1, m):
+            power *= c
+            g[k] -= m * e * power
+    f = [1]
+    for n in range(1, order + 1):
+        fn, rem = divmod(sum(map(mul, g[1:n + 1], reversed(f))), n)
+        if rem:
+            raise ArithmeticError(f"inexact division by {n} at q^{n}")
+        f.append(fn)
+    return f
+
+
+def _euler_product_t(factors: list, order: int) -> list:
+    """prod (1 - s*t**a*q**m)**e over (m, a, s, e), s = +-1, as integer
+    t-polynomials at q**0..q**order, by ``_euler_product`` at t = 2**bits.
+    The majorant prod (1 - q**m)**(-|e|) bounds every t-coefficient."""
+    majorant = _euler_product([(m, 1, -abs(e)) for m, _, _, e in factors],
+                              order)
+    width = _width(max(majorant))
+    bits = 8 * width
+    values = _euler_product([(m, s << (bits * a), e)
+                             for m, a, s, e in factors], order)
+    # ceil((bit_length + 1) / bits) digits: the top digit is signed
+    return [_unpack(v, width, (abs(v).bit_length() + bits) // bits)
+            for v in values]
 
 
 class QSeries:
@@ -242,9 +257,15 @@ class QSeries:
         g = self._coerce(other)
         if g is None:
             return NotImplemented
-        n = min(self.order, g.order)
-        out = _convolve(list(self.coeffs), list(g.coeffs), n + 1)
-        return QSeries(out, var=self.var, shift=self.shift + g.shift, order=n)
+        # Kronecker substitution: one bigint product of the packed numerators;
+        # the digits hold the operands too, also when the other one is zero
+        n = min(self.order, g.order) + 1
+        (xs, dx), (ys, dy) = _scaled(self.coeffs[:n]), _scaled(g.coeffs[:n])
+        width = _width(max(1, *map(abs, xs)) * max(1, *map(abs, ys)) * n)
+        zs = _unpack(_pack(xs, width) * _pack(ys, width), width, 2 * n - 1)
+        den = dx * dy
+        return QSeries([Fraction(z, den) for z in zs[:n]], var=self.var,
+                       shift=self.shift + g.shift, order=n - 1)
 
     __rmul__ = __mul__
 
@@ -403,25 +424,15 @@ def product_family(exponent: Callable[[int], int], order: int,
                    var: str = "q") -> QSeries:
     """prod_{m=1..order} (1 - q**m)**exponent(m), truncated at ``order``.
 
-    Each factor is expanded by the binomial theorem (sparse in q**m) and
-    multiplied in; exponents must be integers.
+    The factors are expanded together by the integer logarithmic-derivative
+    recurrence of ``_euler_product``; exponents must be integers.
     """
     if order < 0:
         raise SeriesError(f"order must be >= 0, got {order}")
-    acc = [Fraction(1)] + [Fraction(0)] * order
+    factors = []
     for m in range(1, order + 1):
         e = exponent(m)
         if not isinstance(e, int):
             raise TypeError(f"exponent({m}) = {e!r} is not an integer")
-        if e == 0:
-            continue
-        # factor coefficients at q**(m*j): (-1)**j * binomial(e, j)
-        terms = [(m * j, (-1) ** j * int_binomial(e, j))
-                 for j in range(1, order // m + 1)]
-        new = list(acc)
-        for off, fc in terms:
-            for k in range(order - off + 1):
-                if acc[k]:
-                    new[k + off] += fc * acc[k]
-        acc = new
-    return QSeries(acc, var=var, order=order)
+        factors.append((m, 1, e))
+    return QSeries(_euler_product(factors, order), var=var, order=order)

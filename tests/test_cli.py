@@ -251,6 +251,34 @@ class TestSW(object):
                              str(tmp_path / "nope.json"))
         assert rc == 2
 
+    @pytest.mark.parametrize("malformed", [
+        "v-int", "n-zero-denominator", "top-level-list", "n-too-short",
+        "r-infinite", "decomps-object", "r-float", "n-too-long", "n-string",
+        "sw-bool", "decomps-string", "k-dot-h-string"])
+    def test_mochizuki_malformed_file(self, capsys, tmp_path, malformed):
+        good = self.mochizuki_payload()
+        payload = {
+            "v-int": dict(good, v=3),
+            "n-zero-denominator": dict(good, v=dict(good["v"], n=[1, 0])),
+            "top-level-list": [good["v"], good["chi_v"], good["decomps"]],
+            "n-too-short": dict(good, v=dict(good["v"], n=[1])),
+            "r-infinite": dict(good, v=dict(good["v"], r=float("inf"))),
+            "decomps-object": dict(good, decomps=good["decomps"][0]),
+            # int() would truncate or parse these and exit 0 with a number
+            "r-float": dict(good, v=dict(good["v"], r=2.7)),
+            "n-too-long": dict(good, v=dict(good["v"], n=[1, 1, 99])),
+            "n-string": dict(good, v=dict(good["v"], n="12")),
+            "sw-bool": dict(good, decomps=[dict(good["decomps"][0], sw=True)]),
+            "decomps-string": dict(good, decomps=""),
+            "k-dot-h-string": dict(good, k_dot_h="3"),
+        }[malformed]
+        path = tmp_path / "wall.json"
+        path.write_text(json.dumps(payload))
+        rc, out, err = run_cli(capsys, "sw", "mochizuki", "--file", str(path))
+        assert rc == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
 
 class TestFit(object):
     ARGS = ("fit", "--weight", "10", "--eta-exponent", "-24",

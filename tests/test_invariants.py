@@ -7,11 +7,42 @@ from fractions import Fraction
 import pytest
 
 from enumgeo import invariants as inv
-from enumgeo.series import QSeries
+from enumgeo.series import QSeries, int_binomial
 
 
 def brute_sigma1(n):
     return sum(d for d in range(1, n + 1) if n % d == 0)
+
+
+def goettsche_by_factors(surface, order):
+    """Oracle: Göttsche's product as one BiSeries factor
+    (1 - (-t)**a q**m)**e per pair (m, Betti index), each expanded by the
+    binomial theorem and multiplied in with BiSeries.__mul__."""
+    out = inv.BiSeries.one(order)
+    b = surface.betti
+    for m in range(1, order + 1):
+        for i in range(5):
+            a = 2 * m - 2 + i
+            e = b[i] if i % 2 else -b[i]
+            polys = [[1]] + [[0] for _ in range(order)]
+            for j in range(1, order // m + 1):
+                coeff = int_binomial(e, j) * (-1) ** j * (-1) ** (a * j)
+                polys[m * j] = [0] * (a * j) + [coeff]
+            out = out * inv.BiSeries(polys, order=order)
+    return out
+
+
+#: the three presets and two surfaces with b1 != 0 (an abelian surface and
+#: a ruled surface over an elliptic curve), whose polynomials carry signs
+GOETTSCHE_SURFACES = {
+    "p2": inv.SurfaceData.projective_plane(),
+    "k3": inv.SurfaceData.k3(),
+    "b9": inv.SurfaceData.half_k3(),
+    "abelian": inv.SurfaceData(betti=(1, 4, 6, 4, 1), chi_top=0, chi_O=0,
+                               p_g=1, b1_zero=False),
+    "elliptic-ruled": inv.SurfaceData(betti=(1, 2, 2, 2, 1), chi_top=0,
+                                      chi_O=0, p_g=0, b1_zero=False),
+}
 
 
 class TestSurfaceData(object):
@@ -111,6 +142,14 @@ class TestGoettsche(object):
     def test_p2_length_two(self):
         g = inv.goettsche_series(inv.SurfaceData.projective_plane(), 2)
         assert g.coefficient(2) == (1, 0, 2, 0, 3, 0, 2, 0, 1)
+
+    @pytest.mark.parametrize("name", sorted(GOETTSCHE_SURFACES))
+    @pytest.mark.parametrize("order", [0, 1, 5, 20])
+    def test_matches_biseries_factor_product(self, name, order):
+        surface = GOETTSCHE_SURFACES[name]
+        g = inv.goettsche_series(surface, order)
+        assert g.order == order
+        assert g.coeffs == goettsche_by_factors(surface, order).coeffs
 
 
 class TestBryanLeung(object):

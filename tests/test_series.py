@@ -7,6 +7,7 @@ from math import comb, factorial
 
 import pytest
 
+from enumgeo.modforms import eisenstein
 from enumgeo.series import (
     QSeries,
     SeriesError,
@@ -18,6 +19,9 @@ from enumgeo.series import (
     OrderExceeded,
     int_binomial,
     product_family,
+    _euler_product,
+    _pack,
+    _unpack,
 )
 
 
@@ -29,6 +33,31 @@ def rand_series(rng, order, shift=Fraction(0), var="q", unit=False,
         while cs[0] == 0:
             cs[0] = Fraction(rng.randint(-scale, scale), rng.randint(1, 4))
     return QSeries(cs, var=var, shift=shift, order=order)
+
+
+def binomial_product(exponent, order):
+    """Oracle: prod (1 - q**m)**exponent(m), each factor expanded by the
+    binomial theorem and multiplied in over the integers."""
+    acc = [1] + [0] * order
+    for m in range(1, order + 1):
+        e = exponent(m)
+        new = list(acc)
+        for j in range(1, order // m + 1):
+            c = (-1) ** j * int_binomial(e, j)
+            for k in range(order - m * j + 1):
+                new[k + m * j] += c * acc[k]
+        acc = new
+    return acc
+
+
+def schoolbook(f, g):
+    """Oracle: the truncated product by the plain double loop."""
+    n = min(f.order, g.order)
+    out = [Fraction(0)] * (n + 1)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            out[i + j] += f.coefficient(i) * g.coefficient(j)
+    return out
 
 
 class TestConstruction:
@@ -158,6 +187,24 @@ class TestProductFamily:
         with pytest.raises(TypeError):
             product_family(lambda m: 0.5, 4)
 
+    def test_recurrence_raises_on_inexact_division(self):
+        # integer factors always divide exactly; a half-integer c does not
+        assert _euler_product([(1, 2, 1)], 3) == [1, -2, 0, 0]
+        with pytest.raises(ArithmeticError):
+            _euler_product([(1, Fraction(1, 2), 1)], 1)
+
+    @pytest.mark.parametrize("exponent", [
+        lambda m: -24, lambda m: 8, lambda m: 0, lambda m: m % 3 - 1,
+    ], ids=["-24", "8", "0", "m%3-1"])
+    def test_matches_binomial_expansion(self, exponent):
+        # factors with m > order are 1 + O(q**(order+1)), so every
+        # truncation of the order-60 oracle is the product at that order
+        expect = binomial_product(exponent, 60)
+        for order in range(61):
+            f = product_family(exponent, order)
+            assert f.order == order
+            assert f.coefficients() == tuple(expect[:order + 1])
+
 
 class TestRingAxioms:
     def test_randomized_axioms(self):
@@ -218,7 +265,7 @@ class TestRingAxioms:
 class TestKaratsuba:
     def test_matches_schoolbook_above_threshold(self):
         rng = random.Random(77)
-        n = 540  # past the switch point
+        n = 540
         a = [Fraction(rng.randint(-3, 3)) for _ in range(n + 1)]
         b = [Fraction(rng.randint(-3, 3)) for _ in range(n + 1)]
         expect = [Fraction(0)] * (n + 1)
@@ -229,6 +276,68 @@ class TestKaratsuba:
                 expect[i + j] += ai * b[j]
         got = QSeries(a, order=n) * QSeries(b, order=n)
         assert got.coefficients() == tuple(expect)
+
+    def test_matches_schoolbook_on_mixed_inputs(self):
+        rng = random.Random(78)
+        big = 2 ** 200
+        cases = []
+        # rational operands with unlike denominators, and shifts
+        for n in list(range(8)) + [40, 150]:
+            cases.append((
+                QSeries([Fraction(rng.randint(-10 ** 6, 10 ** 6),
+                                  rng.randint(1, 97)) for _ in range(n + 1)],
+                        shift=Fraction(-1, 2)),
+                QSeries([Fraction(rng.randint(-50, 50), rng.choice((3, 8, 35)))
+                         for _ in range(n + 1)], shift=Fraction(1, 24))))
+        # zero operands, and zeros at both ends of an operand
+        for n in (0, 1, 5, 30):
+            cases.append((rand_series(rng, n), QSeries.zero(n)))
+            cases.append((rand_series(rng, n, scale=10 ** 6), QSeries.zero(n)))
+            cases.append((QSeries([200] * (n + 1)), QSeries.zero(n)))
+            cases.append((QSeries.zero(n), QSeries.zero(n)))
+            cases.append((rand_series(rng, n),
+                          QSeries([0, 0] + [1] * (n // 2), order=n + 2)))
+        # unequal orders
+        for m, n in ((0, 9), (3, 40), (17, 200), (64, 65)):
+            cases.append((rand_series(rng, m),
+                          rand_series(rng, n, scale=10 ** 9)))
+        # coefficients of 200 bits with both signs
+        cases.append((
+            QSeries([rng.choice((-1, 1)) * rng.randint(0, big)
+                     for _ in range(30)]),
+            QSeries([Fraction(rng.randint(-big, big), rng.randint(1, big))
+                     for _ in range(30)])))
+        for f, g in cases:
+            for x, y in ((f, g), (g, f)):
+                got = x * y
+                assert got.order == min(x.order, y.order)
+                assert got.shift == x.shift + y.shift
+                assert got.coefficients() == tuple(schoolbook(x, y))
+
+    def test_zero_times_wide_operand(self):
+        # the packed digits must hold an operand even when the product is 0
+        e4 = eisenstein(4, 30)
+        zero = QSeries.zero(30)
+        for x, y in ((e4, zero), (zero, e4), (e4 - e4, e4),
+                     (QSeries([200]), QSeries.zero(0))):
+            got = x * y
+            assert got.is_zero() and got.order == min(x.order, y.order)
+
+    def test_pack_round_trip(self):
+        rng = random.Random(82)
+        for width in (1, 2, 9):
+            half = 1 << (8 * width - 1)
+            digits = [-half, half - 1, 0, -1, 1] + [
+                rng.randint(-half, half - 1) for _ in range(20)]
+            assert _unpack(_pack(digits, width), width, len(digits)) == digits
+
+    def test_unpack_raises_on_overflow(self):
+        # two signed 8-bit digits hold exactly -32896 .. 32639
+        assert _unpack(-32896, 1, 2) == [-128, -128]
+        assert _unpack(32639, 1, 2) == [127, 127]
+        for value in (32640, -32897, 1 << 16, -(1 << 16)):
+            with pytest.raises(OverflowError):
+                _unpack(value, 1, 2)
 
 
 class TestErrors:
