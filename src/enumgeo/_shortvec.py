@@ -15,7 +15,7 @@ The compiled kernel in _shortvec_c runs the same scan on C integers; the
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt, lcm
 
 
 class NotPositiveDefinite(ValueError):
@@ -47,16 +47,11 @@ def prepare(gram) -> dict:
     m = []
     lm = []
     for i in range(n):
-        den = 1
-        for j in range(i + 1, n):
-            den = den * lower[j][i].denominator // gcd(den, lower[j][i].denominator)
-        m.append(den)
-        lm.append([int(lower[j][i] * den) if j > i else 0 for j in range(n)])
+        m.append(lcm(*(lower[j][i].denominator for j in range(i + 1, n))))
+        lm.append([int(lower[j][i] * m[i]) if j > i else 0 for j in range(n)])
 
-    lam = 1
     scaled = [diag[i] / (m[i] * m[i]) for i in range(n)]
-    for s in scaled:
-        lam = lam * s.denominator // gcd(lam, s.denominator)
+    lam = lcm(*(s.denominator for s in scaled))
     ehat = [int(s * lam) for s in scaled]
     return {"rank": n, "lm": lm, "m": m, "ehat": ehat, "lam": lam}
 

@@ -14,7 +14,7 @@ from typing import Sequence, Union
 
 from .lattice import ParityViolation
 from .modforms import divisor_sigma, theta_e8
-from .series import QSeries, _euler_product_t, product_family
+from .series import QSeries, _as_fraction, _euler_product_t, product_family
 
 Rational = Union[int, Fraction]
 
@@ -156,7 +156,7 @@ class BiSeries:
 
     def eval_t(self, value: Rational) -> QSeries:
         """Specialize the second variable to an exact rational."""
-        v = Fraction(value)
+        v = _as_fraction(value)
         cs = []
         for poly in self.coeffs:
             acc = Fraction(0)
@@ -243,18 +243,6 @@ def elliptic_genus1_coeffs(order: int) -> list:
     return [lg.coefficient(k) for k in range(1, order + 1)]
 
 
-def dt_trivial_elliptic(surface: SurfaceData, n: int, order: int) -> QSeries:
-    """Degree-zero-fiber series in the trivial-elliptic-fibration sector.
-
-    The n = 0 slice is prod(1 - v**m)**(-chi_top); every n != 0 slice
-    vanishes identically and the zero series is the certificate.
-    """
-    if n != 0:
-        return QSeries.zero(order, var="v")
-    chi = surface.chi_top
-    return product_family(lambda m: -chi, order, var="v")
-
-
 def half_k3_z1(order: int) -> QSeries:
     """Rank-one partition series of the rational elliptic surface:
     E8 theta series times the twelfth-power eta quotient, the fractional
@@ -307,17 +295,17 @@ class ChernVector:
     def __post_init__(self):
         if self.r < 0:
             raise ValueError("rank must be >= 0")
-        object.__setattr__(self, "n", Fraction(self.n))
+        object.__setattr__(self, "n", _as_fraction(self.n))
 
 
 def chi_v(v: ChernVector, chi_O: Rational) -> Fraction:
     """Holomorphic Euler pairing chi(v) = r*chi_O - a.K/2 + n."""
-    return v.r * Fraction(chi_O) - Fraction(v.a_K, 2) + v.n
+    return v.r * _as_fraction(chi_O) - Fraction(v.a_K, 2) + v.n
 
 
 def virtual_dim(v: ChernVector, chi_O: Rational) -> int:
     """Expected dimension a^2 - 4n - 3*chi_O of the rank-2 moduli space."""
-    d = v.a_sq - 4 * v.n - 3 * Fraction(chi_O)
+    d = v.a_sq - 4 * v.n - 3 * _as_fraction(chi_O)
     if d.denominator != 1:
         raise ValueError(f"virtual dimension {d} is not an integer")
     return int(d)
@@ -365,7 +353,7 @@ class SWDecomposition:
         if not self.a1_h < self.a2_h:
             raise ValueError(
                 f"splitting must have a1.h < a2.h, got {self.a1_h} >= {self.a2_h}")
-        object.__setattr__(self, "a_value", Fraction(self.a_value))
+        object.__setattr__(self, "a_value", _as_fraction(self.a_value))
 
 
 def mochizuki_sum(v: ChernVector, chi: Rational,
@@ -378,7 +366,7 @@ def mochizuki_sum(v: ChernVector, chi: Rational,
     polarization degree is supplied) emit HypothesisWarning; the sum is
     still returned.
     """
-    chi = Fraction(chi)
+    chi = _as_fraction(chi)
     if chi.denominator != 1:
         raise NonIntegerChiV(f"chi(v) = {chi} is not an integer")
     chi = int(chi)
@@ -400,8 +388,3 @@ def mochizuki_sum(v: ChernVector, chi: Rational,
                 f"splitting {d.a1_h} + {d.a2_h} != a.h = {v.a_h}")
         total += d.sw_a1 * weight * d.a_value
     return -total
-
-
-def sw_dt_assemble(mochizuki_part: Rational, dt_hat: Rational) -> Fraction:
-    """Invariant assembly: the wall-crossing part plus the residual term."""
-    return Fraction(mochizuki_part) + Fraction(dt_hat)

@@ -11,11 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 from typing import Sequence
 
 from . import lattice as _lattice
-from .series import QSeries, product_family
+from .series import QSeries, _as_fraction, _scaled, product_family
 
 #: weight -> (prefactor of the divisor sum, divisor power)
 _EISENSTEIN = {2: (-24, 1), 4: (240, 3), 6: (-504, 5)}
@@ -179,17 +178,13 @@ def solve_exact(rows: Sequence, rhs: Sequence) -> tuple:
     if m != len(rhs):
         raise ValueError("one right-hand side per row required")
     n = len(rows[0]) if m else 0
-    exact_rows = [[Fraction(x) for x in row] for row in rows]
-    exact_rhs = [Fraction(b) for b in rhs]
+    exact_rows = [[_as_fraction(x) for x in row] for row in rows]
+    exact_rhs = [_as_fraction(b) for b in rhs]
     aug = []
     for row, b in zip(exact_rows, exact_rhs):
         if len(row) != n:
             raise ValueError("ragged coefficient matrix")
-        fr = row + [b]
-        den = 1
-        for x in fr:
-            den = den * x.denominator // gcd(den, x.denominator)
-        aug.append([int(x * den) for x in fr])
+        aug.append(_scaled(row + [b])[0])
 
     pivots = []  # (row, col)
     r = 0
@@ -273,7 +268,7 @@ def fit_quasi_homogeneous(weight: int, eta_exponent: int,
     columns = [monomial_series(mono, order) * eta_part
                for mono in basis.monomials]
     rows = [[col.coefficient(e) for col in columns] for e in exps]
-    rhs = [Fraction(v) for _, v in targets]
+    rhs = [_as_fraction(v) for _, v in targets]
     consistent, particular, nullspace = solve_exact(rows, rhs)
     return FitResult(basis=basis, eta_exponent=eta_exponent,
                      particular=particular, nullspace=nullspace,

@@ -12,7 +12,9 @@ here ever rounds.
 
 Products run on Python integers.  A product of two series packs each
 operand's numerators over their common denominator into one integer and
-multiplies once (Kronecker substitution).  Infinite products
+multiplies once (Kronecker substitution).  Inverse, exp and log are
+compositions of that product: Newton iterations that double the
+precision each step (Brent & Kung, J. ACM 25, 1978).  Infinite products
 prod (1 - c*q**m)**e follow the logarithmic-derivative recurrence over Z.
 """
 
@@ -281,20 +283,16 @@ class QSeries:
         return self * g.invert()
 
     def invert(self) -> "QSeries":
-        """Multiplicative inverse; the constant term must be a unit."""
-        a = self.coeffs
-        if a[0] == 0:
+        """Multiplicative inverse; the constant term must be a unit.
+        Newton doubling b <- b*(2 - a*b) from b = 1/a_0."""
+        if self.coeffs[0] == 0:
             raise NonUnitConstantTerm("cannot invert: constant term is zero")
-        inv0 = 1 / a[0]
-        b = [inv0]
-        n = self.order
-        for k in range(1, n + 1):
-            acc = Fraction(0)
-            for i in range(1, k + 1):
-                if a[i]:
-                    acc += a[i] * b[k - i]
-            b.append(-inv0 * acc)
-        return QSeries(b, var=self.var, shift=-self.shift, order=n)
+        b = QSeries([1 / self.coeffs[0]], var=self.var, shift=-self.shift)
+        while b.order < self.order:
+            m = min(2 * b.order + 1, self.order)
+            b = QSeries(b.coeffs, var=self.var, shift=b.shift, order=m)
+            b = b * (2 - self.truncate(m) * b)
+        return b
 
     def __pow__(self, e: int) -> "QSeries":
         if not isinstance(e, int):
@@ -315,38 +313,29 @@ class QSeries:
     # -- transcendental maps -----------------------------------------------
 
     def exp(self) -> "QSeries":
-        """exp of a series with zero constant term and zero shift."""
+        """exp of a series with zero constant term and zero shift.
+        Newton doubling g <- g*(1 + f - log g) from g = 1."""
         if self.shift != 0:
             raise ShiftMismatch("exp requires shift 0")
-        f = self.coeffs
-        if f[0] != 0:
+        if self.coeffs[0] != 0:
             raise NonzeroConstantTerm("exp requires constant term 0")
-        n = self.order
-        g = [Fraction(1)]
-        for m in range(1, n + 1):
-            acc = Fraction(0)
-            for k in range(1, m + 1):
-                if f[k]:
-                    acc += k * f[k] * g[m - k]
-            g.append(acc / m)
-        return QSeries(g, var=self.var, order=n)
+        g = QSeries.one(0, var=self.var)
+        while g.order < self.order:
+            m = min(2 * g.order + 1, self.order)
+            g = QSeries(g.coeffs, var=self.var, order=m)
+            g = g * (1 + self.truncate(m) - g.log())
+        return g
 
     def log(self) -> "QSeries":
-        """log of a series with constant term one and zero shift."""
+        """log of a series with constant term one and zero shift:
+        the integral of (q*d/dq f) / f."""
         if self.shift != 0:
             raise ShiftMismatch("log requires shift 0")
-        f = self.coeffs
-        if f[0] != 1:
+        if self.coeffs[0] != 1:
             raise ConstantTermNotOne("log requires constant term 1")
-        n = self.order
-        h = [Fraction(0)]
-        for m in range(1, n + 1):
-            acc = Fraction(0)
-            for k in range(1, m):
-                if h[k] and f[m - k]:
-                    acc += k * h[k] * f[m - k]
-            h.append(f[m] - acc / m)
-        return QSeries(h, var=self.var, order=n)
+        d = (self.q_d_dq() * self.invert()).coeffs
+        return QSeries([0] + [c / k for k, c in enumerate(d[1:], 1)],
+                       var=self.var, order=self.order)
 
     def q_d_dq(self) -> "QSeries":
         """The operator q*d/dq: c_k -> k*c_k.  Needs shift 0."""

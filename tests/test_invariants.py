@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from enumgeo import invariants as inv
-from enumgeo.series import QSeries, int_binomial
+from enumgeo import modforms as mf
+from enumgeo.series import QSeries, int_binomial, product_family
 
 
 def brute_sigma1(n):
@@ -214,14 +215,10 @@ class TestEllipticGenusOne(object):
 
 
 class TestDTTrivialElliptic(object):
-    def test_nonzero_sector_vanishes(self):
-        surface = inv.SurfaceData.half_k3()
-        for n in (-2, -1, 1, 5):
-            s = inv.dt_trivial_elliptic(surface, n, 10)
-            assert s.is_zero() and s.var == "v"
-
     def test_zero_sector(self):
-        s = inv.dt_trivial_elliptic(inv.SurfaceData.half_k3(), 0, 4)
+        # the degree-zero-fiber series prod(1 - v**m)**(-chi_top)
+        chi = inv.SurfaceData.half_k3().chi_top
+        s = product_family(lambda m: -chi, 4, var="v")
         assert s.var == "v"
         assert s.coefficients() == (1, 12, 90, 520, 2535)
 
@@ -370,5 +367,33 @@ class TestMochizuki(object):
             inv.mochizuki_sum(self.make_v(a_h=7), 2, [], k_dot_h=3)
 
     def test_assemble(self):
-        assert inv.sw_dt_assemble(Fraction(-3, 4), Fraction(1, 4)) == \
-            Fraction(-1, 2)
+        # the invariant is the wall-crossing part plus the residual term
+        part = inv.mochizuki_sum(self.make_v(a_h=7), 2, [
+            inv.SWDecomposition(a1_h=1, a2_h=6, sw_a1=1,
+                                a_value=Fraction(3, 2))])
+        assert part == Fraction(-3, 4)
+        assert part + Fraction(1, 4) == Fraction(-1, 2)
+
+
+_V = inv.ChernVector(r=2, a_h=5, a_K=0, a_sq=1, n=1)
+
+
+class TestExactInputs(object):
+    @pytest.mark.parametrize("call", [
+        lambda: inv.goettsche_series(inv.SurfaceData.projective_plane(),
+                                     2).eval_t(0.1),
+        lambda: inv.ChernVector(r=2, a_h=5, a_K=0, a_sq=1, n=0.1),
+        lambda: inv.chi_v(_V, 0.5),
+        lambda: inv.virtual_dim(_V, 1.0),
+        lambda: inv.SWDecomposition(a1_h=1, a2_h=4, sw_a1=1, a_value=0.5),
+        lambda: inv.mochizuki_sum(_V, 2.0, []),
+        lambda: mf.solve_exact([[1, 0.5]], [1]),
+        lambda: mf.solve_exact([[1, 2]], [0.5]),
+        lambda: mf.fit_quasi_homogeneous(4, 0, [(0, 1.0)]),
+    ], ids=["eval_t", "ChernVector.n", "chi_v", "virtual_dim",
+            "SWDecomposition.a_value", "mochizuki_sum", "solve_exact.rows",
+            "solve_exact.rhs", "fit_quasi_homogeneous.targets"])
+    def test_float_rejected(self, call):
+        # a float would enter as its binary expansion, not the rational meant
+        with pytest.raises(TypeError):
+            call()

@@ -60,6 +60,38 @@ def schoolbook(f, g):
     return out
 
 
+def invert_loop(f):
+    """Oracle: 1/f by the recurrence b_k = -(sum a_i b_{k-i}) / a_0."""
+    a = f.coefficients()
+    b = [1 / a[0]]
+    for k in range(1, f.order + 1):
+        b.append(-sum(a[i] * b[k - i] for i in range(1, k + 1)) / a[0])
+    return b
+
+
+def exp_loop(f):
+    """Oracle: exp f by m*g_m = sum k*f_k*g_{m-k}."""
+    a = f.coefficients()
+    g = [Fraction(1)]
+    for m in range(1, f.order + 1):
+        g.append(sum((k * a[k] * g[m - k] for k in range(1, m + 1)),
+                     Fraction(0)) / m)
+    return g
+
+
+def log_loop(f):
+    """Oracle: log f by h_m = f_m - (sum k*h_k*f_{m-k}) / m."""
+    a = f.coefficients()
+    h = [Fraction(0)]
+    for m in range(1, f.order + 1):
+        h.append(a[m] - sum((k * h[k] * a[m - k] for k in range(1, m)),
+                            Fraction(0)) / m)
+    return h
+
+
+EIS_C1 = {2: -24, 4: 240, 6: -504}
+
+
 class TestConstruction:
     def test_pads_to_order(self):
         f = QSeries([1, 2], order=4)
@@ -338,6 +370,40 @@ class TestKaratsuba:
         for value in (32640, -32897, 1 << 16, -(1 << 16)):
             with pytest.raises(OverflowError):
                 _unpack(value, 1, 2)
+
+
+class TestNewton:
+    # orders 0..33 hit every doubling boundary 2**k - 1, 2**k, 2**k + 1
+    ORDERS = range(34)
+
+    def test_invert_matches_recurrence(self):
+        rng = random.Random(91)
+        for n in self.ORDERS:
+            f = QSeries([Fraction(rng.randint(-10 ** 6, 10 ** 6),
+                                  rng.randint(2, 97))] + [
+                Fraction(rng.randint(-50, 50), rng.choice((1, 3, 8, 35)))
+                for _ in range(n)], shift=Fraction(1, 3))
+            got = f.invert()
+            assert got.order == n and got.shift == Fraction(-1, 3)
+            assert got.coefficients() == tuple(invert_loop(f))
+
+    def test_log_exp_match_recurrences(self):
+        rng = random.Random(92)
+        for n in self.ORDERS:
+            tail = [Fraction(rng.randint(-50, 50), rng.choice((1, 3, 8, 35)))
+                    for _ in range(n)]
+            unit, nilp = QSeries([1] + tail), QSeries([0] + tail)
+            assert unit.log().order == nilp.exp().order == n
+            assert unit.log().coefficients() == tuple(log_loop(unit))
+            assert nilp.exp().coefficients() == tuple(exp_loop(nilp))
+
+    @pytest.mark.parametrize("weight", [2, 4, 6])
+    def test_eisenstein(self, weight):
+        e = eisenstein(weight, 150)
+        assert e.invert().coefficients() == tuple(invert_loop(e))
+        assert e.log().coefficients() == tuple(log_loop(e))
+        x = (eisenstein(weight, 60) - 1) / EIS_C1[weight]
+        assert x.exp().coefficients() == tuple(exp_loop(x))
 
 
 class TestErrors:
