@@ -8,8 +8,13 @@ ehat_i = LAM*d_i/M_i**2 and the remaining budget stays an exact integer
 throughout the depth-first scan.  No floating point anywhere, so counts are
 exact for any norm bound.
 
-The compiled kernel in _shortvec_c runs the same scan on C integers; the
-``preflight_limit`` bound decides per call whether 64-bit arithmetic is safe.
+The pure scan is a half-space scan: Q(x) = Q(-x), so it visits only the
+zero vector and the vectors whose highest-index nonzero coordinate is
+positive, and counts each of those twice (Fincke & Pohst, Math. Comp. 44,
+1985, on the enumeration).  The compiled kernel in _shortvec_c still runs
+the full scan, over every vector, on C integers; the two backends give
+identical counts.  The ``preflight_limit`` bound decides per call whether
+64-bit arithmetic is safe.
 """
 
 from __future__ import annotations
@@ -57,47 +62,59 @@ def prepare(gram) -> dict:
 
 
 def count_by_norm(data: dict, norm_max: int) -> list:
-    """Counts[n] of lattice vectors with Q(x) = n, for 0 <= n <= norm_max."""
+    """Counts[n] of lattice vectors with Q(x) = n, for 0 <= n <= norm_max.
+
+    Since Q(x) = Q(-x), the scan visits only the zero vector and the vectors
+    whose highest-index nonzero coordinate is positive, and counts each of
+    the latter twice (once for x, once for -x).  A ``lead`` flag marks the
+    levels above which every coordinate is 0: there the offset is 0 and
+    only x_i >= 0 is scanned.  The innermost level steps t = M_0 x_0 + C_0
+    directly.  The compiled kernel runs the full scan; both agree exactly.
+    """
     rank = data["rank"]
     lm, m, ehat, lam = data["lm"], data["m"], data["ehat"], data["lam"]
     counts = [0] * (norm_max + 1)
     if norm_max < 0:
         return counts
+    if rank == 0:
+        counts[0] = 1
+        return counts
     budget0 = lam * norm_max
     xs = [0] * rank
 
-    def descend(i: int, budget: int) -> None:
-        row = lm[i]
+    def descend(i: int, budget: int, lead: bool) -> None:
         chat = 0
-        for j in range(i + 1, rank):
-            if xs[j]:
-                chat += row[j] * xs[j]
+        if not lead:
+            row = lm[i]
+            for j in range(i + 1, rank):
+                if xs[j]:
+                    chat += row[j] * xs[j]
         s = isqrt(budget // ehat[i])
         mi = m[i]
-        lo = -((s + chat) // mi)
+        lo = 0 if lead else -((s + chat) // mi)
         hi = (s - chat) // mi
         ei = ehat[i]
         if i == 0:
-            for x in range(lo, hi + 1):
-                t = mi * x + chat
-                rem = budget - ei * t * t
-                counts[(budget0 - rem) // lam] += 1
+            base = budget0 - budget
+            for t in range(mi * lo + chat, mi * hi + chat + 1, mi):
+                counts[(base + ei * t * t) // lam] += 2
+            if lead:
+                counts[0] -= 1      # the zero vector is its own negative
         else:
             for x in range(lo, hi + 1):
                 xs[i] = x
                 t = mi * x + chat
-                descend(i - 1, budget - ei * t * t)
+                descend(i - 1, budget - ei * t * t, lead and not x)
             xs[i] = 0
 
-    if rank == 0:
-        counts[0] = 1
-        return counts
-    descend(rank - 1, budget0)
+    descend(rank - 1, budget0, True)
     return counts
 
 
 def preflight_limit(data: dict, norm_max: int) -> int:
-    """Largest absolute integer the scan can produce, for overflow checks."""
+    """Largest absolute integer the compiled scan can receive or produce,
+    for overflow checks: lam, every ehat_i, M_i and |lm_ij|, the budget and
+    every intermediate of the scan."""
     rank = data["rank"]
     lm, m, ehat, lam = data["lm"], data["m"], data["ehat"], data["lam"]
     budget = lam * norm_max
@@ -108,7 +125,7 @@ def preflight_limit(data: dict, norm_max: int) -> int:
     for i in range(rank - 1, -1, -1):
         cmax[i] = sum(abs(lm[i][j]) * xmax[j] for j in range(i + 1, rank))
         xmax[i] = (tmax[i] + cmax[i]) // m[i] + 1
-    peak = budget
+    peak = max(budget, lam, *ehat, *m, *(abs(v) for row in lm for v in row))
     for i in range(rank):
         peak = max(peak, cmax[i] + m[i] * xmax[i], ehat[i] * tmax[i] * tmax[i])
     return peak

@@ -2,14 +2,21 @@
 pure-Python scan must agree, and overflow-prone inputs must stay pure."""
 
 import importlib
+import importlib.util
 import os
+import random
+import shutil
 import subprocess
 import sys
+import sysconfig
+from math import isqrt
+from pathlib import Path
 
 import pytest
 
 from enumgeo import _shortvec as pure
 from enumgeo import lattice as lat
+from enumgeo.modforms import divisor_sigma
 
 try:
     compiled = importlib.import_module("enumgeo._shortvec_c")
@@ -17,7 +24,95 @@ except ImportError:
     compiled = None
 
 needs_compiled = pytest.mark.skipif(
-    compiled is None, reason="compiled kernel not built")
+    compiled is None, reason="compiled kernel not built in the source tree")
+
+
+@pytest.fixture(scope="session")
+def compiled_ext(tmp_path_factory):
+    """The shipped _shortvec_c.c compiled into a temporary directory.
+
+    It is loaded from there, never built under src/: an in-tree build would
+    switch every later import of the package to the compiled backend."""
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no C compiler (cc) on PATH")
+    include = sysconfig.get_paths()["include"]
+    if not os.path.isfile(os.path.join(include, "Python.h")):
+        pytest.skip(f"no Python headers (Python.h) in {include}")
+    source = Path(pure.__file__).with_name("_shortvec_c.c")
+    target = (tmp_path_factory.mktemp("shortvec_c")
+              / ("_shortvec_c" + sysconfig.get_config_var("EXT_SUFFIX")))
+    proc = subprocess.run(
+        [cc, "-O2", "-shared", "-fPIC", f"-I{include}", str(source),
+         "-o", str(target)], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    spec = importlib.util.spec_from_file_location("enumgeo._shortvec_c",
+                                                  target)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def count_full(data, norm_max):
+    """Reference scan: visits every vector of norm <= norm_max once."""
+    rank = data["rank"]
+    lm, m, ehat, lam = data["lm"], data["m"], data["ehat"], data["lam"]
+    counts = [0] * (norm_max + 1)
+    if norm_max < 0:
+        return counts
+    budget0 = lam * norm_max
+    xs = [0] * rank
+
+    def descend(i, budget):
+        row = lm[i]
+        chat = 0
+        for j in range(i + 1, rank):
+            if xs[j]:
+                chat += row[j] * xs[j]
+        s = isqrt(budget // ehat[i])
+        mi = m[i]
+        lo = -((s + chat) // mi)
+        hi = (s - chat) // mi
+        ei = ehat[i]
+        if i == 0:
+            for x in range(lo, hi + 1):
+                t = mi * x + chat
+                rem = budget - ei * t * t
+                counts[(budget0 - rem) // lam] += 1
+        else:
+            for x in range(lo, hi + 1):
+                xs[i] = x
+                t = mi * x + chat
+                descend(i - 1, budget - ei * t * t)
+            xs[i] = 0
+
+    if rank == 0:
+        counts[0] = 1
+        return counts
+    descend(rank - 1, budget0)
+    return counts
+
+
+def random_forms(seed, count, max_rank=6):
+    """Seeded positive-definite Gram matrices B^T B + D of rank 0..max_rank:
+    B is upper triangular with diagonal 1 or 2 and entries -1..1 above it,
+    D is diagonal with entries 0..1, so most forms are not unimodular."""
+    rng = random.Random(seed)
+    forms = []
+    for k in range(count):
+        n = k % (max_rank + 1)
+        b = [[rng.randint(1, 2) if i == j else rng.randint(-1, 1) * (i < j)
+              for j in range(n)] for i in range(n)]
+        gram = tuple(tuple(sum(b[r][i] * b[r][j] for r in range(n))
+                           + (rng.randint(0, 1) if i == j else 0)
+                           for j in range(n)) for i in range(n))
+        forms.append((gram, pure.prepare(gram)))
+    return forms
+
+
+def kernel_counts(kernel, data, norm_max):
+    return kernel.count_by_norm(data["lm"], data["m"], data["ehat"],
+                                data["lam"], norm_max, data["rank"])
 
 
 class TestPureKernel(object):
@@ -40,24 +135,48 @@ class TestPureKernel(object):
         assert counts == [1] + [0] * 10
 
 
-@needs_compiled
+class TestHalfSpaceScan(object):
+    """The half-space scan against the full scan it replaced."""
+
+    def test_matches_full_scan_on_random_forms(self):
+        forms = random_forms(1, 420)
+        assert any(max(data["m"], default=1) > 1 for _, data in forms)
+        for k, (gram, data) in enumerate(forms):
+            norm_max = k % 12 - 1
+            assert pure.count_by_norm(data, norm_max) == \
+                count_full(data, norm_max), (gram, norm_max)
+
+    def test_e8_theta_coefficients(self):
+        data = pure.prepare(lat.e8_lattice().gram)
+        expected = [1] + [0 if n % 2 else 240 * divisor_sigma(n // 2, 3)
+                          for n in range(1, 23)]
+        for norm_max in (0, 1, 2, 9, 22):
+            assert pure.count_by_norm(data, norm_max) == \
+                expected[:norm_max + 1]
+
+
 class TestCompiledKernel(object):
-    def agree(self, gram, norm_max):
+    def agree(self, kernel, gram, norm_max):
         data = pure.prepare(gram)
-        a = pure.count_by_norm(data, norm_max)
-        b = compiled.count_by_norm(data["lm"], data["m"], data["ehat"],
-                                   data["lam"], norm_max, data["rank"])
-        assert a == b
+        assert pure.count_by_norm(data, norm_max) == \
+            kernel_counts(kernel, data, norm_max)
 
-    def test_e8_agreement(self):
-        self.agree(lat.e8_lattice().gram, 14)
+    def test_e8_agreement(self, compiled_ext):
+        self.agree(compiled_ext, lat.e8_lattice().gram, 14)
 
-    def test_assorted_small_forms(self):
-        self.agree(((2, 1), (1, 2)), 20)       # hexagonal
-        self.agree(((1, 0), (0, 3)), 20)
-        self.agree(((4,),), 30)
-        self.agree(((2, 0, 1), (0, 3, 0), (1, 0, 4)), 15)
+    def test_assorted_small_forms(self, compiled_ext):
+        self.agree(compiled_ext, ((2, 1), (1, 2)), 20)       # hexagonal
+        self.agree(compiled_ext, ((1, 0), (0, 3)), 20)
+        self.agree(compiled_ext, ((4,),), 30)
+        self.agree(compiled_ext, ((2, 0, 1), (0, 3, 0), (1, 0, 4)), 15)
 
+    def test_random_forms_agreement(self, compiled_ext):
+        for k, (gram, data) in enumerate(random_forms(2, 420)):
+            norm_max = k % 12 - 1
+            assert pure.count_by_norm(data, norm_max) == \
+                kernel_counts(compiled_ext, data, norm_max), (gram, norm_max)
+
+    @needs_compiled
     def test_dispatch_prefers_compiled(self):
         assert lat.enumeration_backend() == "compiled"
 
@@ -70,6 +189,26 @@ class TestDispatch(object):
             rank=1, gram=((big,),), basis_labels=("x",), canonical=(0,))
         counts = lat.enumerate_vectors(lattice, 10)
         assert counts[0] == 1 and sum(counts.values()) == 1
+
+    def test_huge_level_weight_falls_back(self, compiled_ext, monkeypatch):
+        # 2*10^19 does not fit in int64 although the budget at norm 10 does
+        monkeypatch.setattr(lat, "_COMPILED", compiled_ext)
+        lattice = lat.SurfaceLattice(
+            rank=1, gram=((2 * 10 ** 19,),), basis_labels=("x",),
+            canonical=(0,))
+        assert lat.enumerate_vectors(lattice, 10) == \
+            {n: int(n == 0) for n in range(11)}
+
+    def test_preflight_limit_bounds_kernel_inputs(self):
+        forms = random_forms(3, 60) + [(g, pure.prepare(g)) for g in (
+            ((2 * 10 ** 19,),), ((2 * 10 ** 18,),), ((3, 1), (1, 10 ** 20)))]
+        for gram, data in forms:
+            for norm_max in (0, 1, 10):
+                inputs = [data["lam"], data["lam"] * norm_max, *data["ehat"],
+                          *data["m"], *(abs(v) for row in data["lm"]
+                                        for v in row)]
+                assert pure.preflight_limit(data, norm_max) >= max(inputs), \
+                    (gram, norm_max)
 
     def test_preflight_limit_monotone(self):
         data = pure.prepare(lat.e8_lattice().gram)
