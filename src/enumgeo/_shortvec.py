@@ -8,13 +8,10 @@ ehat_i = LAM*d_i/M_i**2 and the remaining budget stays an exact integer
 throughout the depth-first scan.  No floating point anywhere, so counts are
 exact for any norm bound.
 
-The pure scan is a half-space scan: Q(x) = Q(-x), so it visits only the
-zero vector and the vectors whose highest-index nonzero coordinate is
-positive, and counts each of those twice (Fincke & Pohst, Math. Comp. 44,
-1985, on the enumeration).  The compiled kernel in _shortvec_c still runs
-the full scan, over every vector, on C integers; the two backends give
-identical counts.  The ``preflight_limit`` bound decides per call whether
-64-bit arithmetic is safe.
+The scan is a half-space scan: Q(x) = Q(-x), so it visits only the zero
+vector and the vectors whose highest-index nonzero coordinate is positive,
+and counts each of those twice (Fincke & Pohst, Math. Comp. 44, 1985, on
+the enumeration).
 """
 
 from __future__ import annotations
@@ -69,7 +66,7 @@ def count_by_norm(data: dict, norm_max: int) -> list:
     the latter twice (once for x, once for -x).  A ``lead`` flag marks the
     levels above which every coordinate is 0: there the offset is 0 and
     only x_i >= 0 is scanned.  The innermost level steps t = M_0 x_0 + C_0
-    directly.  The compiled kernel runs the full scan; both agree exactly.
+    directly.
     """
     rank = data["rank"]
     lm, m, ehat, lam = data["lm"], data["m"], data["ehat"], data["lam"]
@@ -109,23 +106,3 @@ def count_by_norm(data: dict, norm_max: int) -> list:
 
     descend(rank - 1, budget0, True)
     return counts
-
-
-def preflight_limit(data: dict, norm_max: int) -> int:
-    """Largest absolute integer the compiled scan can receive or produce,
-    for overflow checks: lam, every ehat_i, M_i and |lm_ij|, the budget and
-    every intermediate of the scan."""
-    rank = data["rank"]
-    lm, m, ehat, lam = data["lm"], data["m"], data["ehat"], data["lam"]
-    budget = lam * norm_max
-    # per-level |M_i x_i + C_i| <= isqrt(budget/ehat_i); |x_i| and |C_i| follow
-    tmax = [isqrt(budget // e) if e else 0 for e in ehat]
-    xmax = [0] * rank
-    cmax = [0] * rank
-    for i in range(rank - 1, -1, -1):
-        cmax[i] = sum(abs(lm[i][j]) * xmax[j] for j in range(i + 1, rank))
-        xmax[i] = (tmax[i] + cmax[i]) // m[i] + 1
-    peak = max(budget, lam, *ehat, *m, *(abs(v) for row in lm for v in row))
-    for i in range(rank):
-        peak = max(peak, cmax[i] + m[i] * xmax[i], ehat[i] * tmax[i] * tmax[i])
-    return peak

@@ -6,6 +6,7 @@ feeds Donaldson-Thomas comparisons.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,6 +36,13 @@ class HypothesisWarning(UserWarning):
     """A wall-crossing hypothesis is violated; the sum is still returned."""
 
 
+def _exact_ints(obj, *names) -> None:
+    """Store the named fields of a frozen dataclass as ints; a float or a
+    Fraction raises TypeError instead of being truncated."""
+    for name in names:
+        object.__setattr__(obj, name, operator.index(getattr(obj, name)))
+
+
 @dataclass(frozen=True)
 class SurfaceData:
     """Topological data of a smooth compact surface.
@@ -50,10 +58,11 @@ class SurfaceData:
     b1_zero: bool = True
 
     def __post_init__(self):
-        b = tuple(int(x) for x in self.betti)
+        b = tuple(operator.index(x) for x in self.betti)
         if len(b) != 5:
             raise ValueError("five Betti numbers b0..b4 required")
         object.__setattr__(self, "betti", b)
+        _exact_ints(self, "chi_top", "chi_O", "p_g")
         alt = b[0] - b[1] + b[2] - b[3] + b[4]
         if alt != self.chi_top:
             raise ValueError(
@@ -83,11 +92,13 @@ class BiSeries:
 
     def __init__(self, coeffs: Sequence, var_q: str = "q", var_t: str = "t",
                  order: int | None = None):
-        polys = [self._trim([int(c) for c in poly]) for poly in coeffs]
+        polys = [self._trim([operator.index(c) for c in poly])
+                 for poly in coeffs]
         if order is None:
             if not polys:
                 raise ValueError("empty coefficient list and no order given")
             order = len(polys) - 1
+        order = operator.index(order)
         if len(polys) > order + 1:
             raise ValueError(f"{len(polys)} polynomials exceed order {order}")
         polys.extend([(0,)] * (order + 1 - len(polys)))
@@ -97,7 +108,7 @@ class BiSeries:
                     f"t-degree {len(poly) - 1} at q^{k} exceeds bound {4 * k}")
         object.__setattr__(self, "var_q", var_q)
         object.__setattr__(self, "var_t", var_t)
-        object.__setattr__(self, "order", int(order))
+        object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", tuple(tuple(p) for p in polys))
 
     def __setattr__(self, name, value):
@@ -270,6 +281,7 @@ def gromov_conditions(beta_sq: int, k_beta: int) -> GromovCheck:
     n_points - genus = -K.beta - 1 always holds; classes with
     beta^2 = K.beta = 0 (fiber type) are marked toroidal and inadmissible.
     """
+    beta_sq, k_beta = operator.index(beta_sq), operator.index(k_beta)
     s = beta_sq + k_beta
     if s % 2:
         raise ParityViolation(f"beta^2 + K.beta = {s} is odd")
@@ -293,6 +305,7 @@ class ChernVector:
     n: Fraction
 
     def __post_init__(self):
+        _exact_ints(self, "r", "a_h", "a_K", "a_sq")
         if self.r < 0:
             raise ValueError("rank must be >= 0")
         object.__setattr__(self, "n", _as_fraction(self.n))
@@ -350,6 +363,7 @@ class SWDecomposition:
     a_value: Fraction
 
     def __post_init__(self):
+        _exact_ints(self, "a1_h", "a2_h", "sw_a1")
         if not self.a1_h < self.a2_h:
             raise ValueError(
                 f"splitting must have a1.h < a2.h, got {self.a1_h} >= {self.a2_h}")

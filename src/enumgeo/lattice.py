@@ -9,7 +9,7 @@ The orthogonal complement of F and B is a negated E8 root lattice.
 
 from __future__ import annotations
 
-import os
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -38,25 +38,10 @@ class DegenerateForm(ValueError):
     """Signature requested on a degenerate bilinear form."""
 
 
-def _load_compiled():
-    if os.environ.get("ENUMGEO_PURE"):
-        return None
-    try:
-        from . import _shortvec_c
-        return _shortvec_c
-    except ImportError:
-        return None
-
-
-_COMPILED = _load_compiled()
-
-#: keep compiled intermediates comfortably inside 64 bits
-_INT64_SAFE = 1 << 60
-
-
 def enumeration_backend() -> str:
-    """Which short-vector kernel is active: 'compiled' or 'pure'."""
-    return "compiled" if _COMPILED is not None else "pure"
+    """The short-vector kernel: always 'pure', the exact half-space scan of
+    ``_shortvec``."""
+    return "pure"
 
 
 @dataclass(frozen=True)
@@ -74,7 +59,7 @@ class SurfaceLattice:
     canonical: Vector | None = None
 
     def __post_init__(self):
-        g = tuple(tuple(int(x) for x in row) for row in self.gram)
+        g = tuple(tuple(operator.index(x) for x in row) for row in self.gram)
         object.__setattr__(self, "gram", g)
         if len(g) != self.rank or any(len(row) != self.rank for row in g):
             raise DimensionMismatch(
@@ -96,7 +81,7 @@ class SurfaceLattice:
                         f"{self.basis_labels[i]}")
 
     def _check_vector(self, v: Sequence) -> Vector:
-        w = tuple(int(x) for x in v)
+        w = tuple(operator.index(x) for x in v)
         if len(w) != self.rank:
             raise DimensionMismatch(
                 f"vector of length {len(w)} in a rank-{self.rank} lattice")
@@ -276,19 +261,12 @@ def e8_lattice() -> SurfaceLattice:
 def enumerate_vectors(lattice: SurfaceLattice, norm_max: int) -> dict:
     """Exact counts {n: #vectors of norm n} for 0 <= n <= norm_max.
 
-    The form must be positive definite.  Runs on the compiled kernel when
-    it is importable and 64-bit safe, otherwise on the pure-Python scan;
-    both produce identical counts.
+    The form must be positive definite.  The scan runs over Python
+    integers, so the counts are exact for any entries and any norm bound.
     """
     if norm_max < 0:
         raise ValueError("norm_max must be >= 0")
-    data = _shortvec.prepare(lattice.gram)
-    counts = None
-    if _COMPILED is not None and _shortvec.preflight_limit(data, norm_max) < _INT64_SAFE:
-        counts = _COMPILED.count_by_norm(data["lm"], data["m"], data["ehat"],
-                                         data["lam"], norm_max, data["rank"])
-    if counts is None:
-        counts = _shortvec.count_by_norm(data, norm_max)
+    counts = _shortvec.count_by_norm(_shortvec.prepare(lattice.gram), norm_max)
     return {n: counts[n] for n in range(norm_max + 1)}
 
 

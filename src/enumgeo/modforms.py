@@ -8,6 +8,7 @@ polynomials against prescribed series coefficients.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -259,7 +260,7 @@ def fit_quasi_homogeneous(weight: int, eta_exponent: int,
     targets = list(targets)
     if not targets:
         raise ValueError("at least one target coefficient required")
-    exps = [int(e) for e, _ in targets]
+    exps = [operator.index(e) for e, _ in targets]
     if any(e < 0 for e in exps):
         raise ValueError("target exponents must be >= 0")
     basis = weight_monomials(weight)

@@ -1,56 +1,14 @@
-"""Backend-selection tests: the compiled short-vector kernel and the
-pure-Python scan must agree, and overflow-prone inputs must stay pure."""
+"""Short-vector scan tests: the half-space scan against the full-scan
+oracle, exact counts on huge entries, and the public entry point."""
 
-import importlib
-import importlib.util
-import os
 import random
-import shutil
-import subprocess
-import sys
-import sysconfig
 from math import isqrt
-from pathlib import Path
 
 import pytest
 
 from enumgeo import _shortvec as pure
 from enumgeo import lattice as lat
 from enumgeo.modforms import divisor_sigma
-
-try:
-    compiled = importlib.import_module("enumgeo._shortvec_c")
-except ImportError:
-    compiled = None
-
-needs_compiled = pytest.mark.skipif(
-    compiled is None, reason="compiled kernel not built in the source tree")
-
-
-@pytest.fixture(scope="session")
-def compiled_ext(tmp_path_factory):
-    """The shipped _shortvec_c.c compiled into a temporary directory.
-
-    It is loaded from there, never built under src/: an in-tree build would
-    switch every later import of the package to the compiled backend."""
-    cc = shutil.which("cc")
-    if cc is None:
-        pytest.skip("no C compiler (cc) on PATH")
-    include = sysconfig.get_paths()["include"]
-    if not os.path.isfile(os.path.join(include, "Python.h")):
-        pytest.skip(f"no Python headers (Python.h) in {include}")
-    source = Path(pure.__file__).with_name("_shortvec_c.c")
-    target = (tmp_path_factory.mktemp("shortvec_c")
-              / ("_shortvec_c" + sysconfig.get_config_var("EXT_SUFFIX")))
-    proc = subprocess.run(
-        [cc, "-O2", "-shared", "-fPIC", f"-I{include}", str(source),
-         "-o", str(target)], capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    spec = importlib.util.spec_from_file_location("enumgeo._shortvec_c",
-                                                  target)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def count_full(data, norm_max):
@@ -110,11 +68,6 @@ def random_forms(seed, count, max_rank=6):
     return forms
 
 
-def kernel_counts(kernel, data, norm_max):
-    return kernel.count_by_norm(data["lm"], data["m"], data["ehat"],
-                                data["lam"], norm_max, data["rank"])
-
-
 class TestPureKernel(object):
     def test_prepare_rejects_indefinite(self):
         with pytest.raises(pure.NotPositiveDefinite):
@@ -129,10 +82,10 @@ class TestPureKernel(object):
         assert counts == [1, 6, 12, 8, 6, 24, 24, 0, 12, 30]
 
     def test_huge_entries_stay_exact(self):
-        big = 10 ** 18
-        data = pure.prepare(((2 * big,),))
-        counts = pure.count_by_norm(data, 10)
-        assert counts == [1] + [0] * 10
+        # 2*10^19 does not fit in 64 bits; Python integers keep it exact
+        for big in (2 * 10 ** 18, 2 * 10 ** 19):
+            data = pure.prepare(((big,),))
+            assert pure.count_by_norm(data, 10) == [1] + [0] * 10
 
 
 class TestHalfSpaceScan(object):
@@ -155,85 +108,10 @@ class TestHalfSpaceScan(object):
                 expected[:norm_max + 1]
 
 
-class TestCompiledKernel(object):
-    def agree(self, kernel, gram, norm_max):
-        data = pure.prepare(gram)
-        assert pure.count_by_norm(data, norm_max) == \
-            kernel_counts(kernel, data, norm_max)
-
-    def test_e8_agreement(self, compiled_ext):
-        self.agree(compiled_ext, lat.e8_lattice().gram, 14)
-
-    def test_assorted_small_forms(self, compiled_ext):
-        self.agree(compiled_ext, ((2, 1), (1, 2)), 20)       # hexagonal
-        self.agree(compiled_ext, ((1, 0), (0, 3)), 20)
-        self.agree(compiled_ext, ((4,),), 30)
-        self.agree(compiled_ext, ((2, 0, 1), (0, 3, 0), (1, 0, 4)), 15)
-
-    def test_random_forms_agreement(self, compiled_ext):
-        for k, (gram, data) in enumerate(random_forms(2, 420)):
-            norm_max = k % 12 - 1
-            assert pure.count_by_norm(data, norm_max) == \
-                kernel_counts(compiled_ext, data, norm_max), (gram, norm_max)
-
-    @needs_compiled
-    def test_dispatch_prefers_compiled(self):
-        assert lat.enumeration_backend() == "compiled"
-
-
-class TestDispatch(object):
-    def test_overflow_preflight_falls_back(self):
-        # entries near 2^63 must not reach the int64 kernel
-        big = 2 * 10 ** 18
+class TestEnumerateVectors(object):
+    def test_huge_entries(self):
         lattice = lat.SurfaceLattice(
-            rank=1, gram=((big,),), basis_labels=("x",), canonical=(0,))
+            rank=1, gram=((2 * 10 ** 18,),), basis_labels=("x",),
+            canonical=(0,))
         counts = lat.enumerate_vectors(lattice, 10)
         assert counts[0] == 1 and sum(counts.values()) == 1
-
-    def test_huge_level_weight_falls_back(self, compiled_ext, monkeypatch):
-        # 2*10^19 does not fit in int64 although the budget at norm 10 does
-        monkeypatch.setattr(lat, "_COMPILED", compiled_ext)
-        lattice = lat.SurfaceLattice(
-            rank=1, gram=((2 * 10 ** 19,),), basis_labels=("x",),
-            canonical=(0,))
-        assert lat.enumerate_vectors(lattice, 10) == \
-            {n: int(n == 0) for n in range(11)}
-
-    def test_preflight_limit_bounds_kernel_inputs(self):
-        forms = random_forms(3, 60) + [(g, pure.prepare(g)) for g in (
-            ((2 * 10 ** 19,),), ((2 * 10 ** 18,),), ((3, 1), (1, 10 ** 20)))]
-        for gram, data in forms:
-            for norm_max in (0, 1, 10):
-                inputs = [data["lam"], data["lam"] * norm_max, *data["ehat"],
-                          *data["m"], *(abs(v) for row in data["lm"]
-                                        for v in row)]
-                assert pure.preflight_limit(data, norm_max) >= max(inputs), \
-                    (gram, norm_max)
-
-    def test_preflight_limit_monotone(self):
-        data = pure.prepare(lat.e8_lattice().gram)
-        assert pure.preflight_limit(data, 4) <= pure.preflight_limit(data, 40)
-
-    def test_forced_pure_subprocess(self):
-        env = dict(os.environ, ENUMGEO_PURE="1")
-        code = ("from enumgeo import lattice as lat; "
-                "print(lat.enumeration_backend()); "
-                "print(lat.enumerate_vectors(lat.e8_lattice(), 6)[6])")
-        proc = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True, env=env)
-        assert proc.returncode == 0
-        backend, count = proc.stdout.split()
-        assert backend == "pure"
-        assert int(count) == 6720
-
-    def test_no_ext_install_flag_subprocess(self):
-        # ENUMGEO_PURE only affects selection, never results
-        env = dict(os.environ, ENUMGEO_PURE="1")
-        code = ("from enumgeo import lattice as lat; "
-                "print(sorted(lat.enumerate_vectors("
-                "lat.e8_lattice(), 10).items()))")
-        proc = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True, env=env)
-        assert proc.returncode == 0
-        here = sorted(lat.enumerate_vectors(lat.e8_lattice(), 10).items())
-        assert proc.stdout.strip() == repr(here)

@@ -167,6 +167,15 @@ class TestLattice(object):
         assert counts["2"] == 240 and counts["4"] == 2160
         assert counts["6"] == 6720 and counts["8"] == 17520
 
+    def test_enumerate_names_pure_backend(self, capsys):
+        rc, out, _ = run_cli(capsys, "lattice", "enumerate", "--norm-max", "2")
+        assert rc == 0
+        assert out == ("# E8 vector counts up to norm 2 (pure backend)\n"
+                       "0 1\n1 0\n2 240\n")
+        rc, out, _ = run_cli(capsys, "lattice", "enumerate", "--norm-max", "2",
+                             "--format", "json")
+        assert rc == 0 and json.loads(out)["backend"] == "pure"
+
     def test_exceptional_count_240(self, capsys):
         rc, out, _ = run_cli(capsys, "lattice", "exceptional", "--k", "8",
                              "--format", "json")

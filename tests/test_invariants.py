@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from enumgeo import invariants as inv
+from enumgeo import lattice as lat
 from enumgeo import modforms as mf
 from enumgeo.series import QSeries, int_binomial, product_family
 
@@ -395,5 +396,33 @@ class TestExactInputs(object):
             "solve_exact.rhs", "fit_quasi_homogeneous.targets"])
     def test_float_rejected(self, call):
         # a float would enter as its binary expansion, not the rational meant
+        with pytest.raises(TypeError):
+            call()
+
+    @pytest.mark.parametrize("call", [
+        lambda: lat.SurfaceLattice(rank=1, gram=((2.9,),),
+                                   basis_labels=("x",)),
+        lambda: lat.make_gamma19().adjunction_genus((3.7,) + (-1,) * 9),
+        lambda: inv.SurfaceData(betti=(1, 0, 22.5, 0, 1), chi_top=24,
+                                chi_O=2, p_g=1),
+        lambda: inv.SurfaceData(betti=(1, 0, 22, 0, 1), chi_top=24.0,
+                                chi_O=2, p_g=1),
+        lambda: inv.SurfaceData(betti=(1, 0, 22, 0, 1), chi_top=24,
+                                chi_O=2.0, p_g=1),
+        lambda: inv.SurfaceData(betti=(1, 0, 22, 0, 1), chi_top=24,
+                                chi_O=2, p_g=Fraction(1)),
+        lambda: inv.BiSeries([[1], [1.7]]),
+        lambda: inv.gromov_conditions(1.0, 1),
+        lambda: inv.ChernVector(2.5, 1, 0, 1, 1),
+        lambda: inv.ChernVector(2, 1, Fraction(0), 1, 1),
+        lambda: inv.SWDecomposition(a1_h=1, a2_h=4, sw_a1=1.5, a_value=1),
+        lambda: mf.fit_quasi_homogeneous(4, 0, [(0.9, 1)]),
+    ], ids=["SurfaceLattice.gram", "adjunction_genus", "SurfaceData.betti",
+            "SurfaceData.chi_top", "SurfaceData.chi_O", "SurfaceData.p_g",
+            "BiSeries", "gromov_conditions", "ChernVector.r",
+            "ChernVector.a_K", "SWDecomposition.sw_a1",
+            "fit_quasi_homogeneous.exponent"])
+    def test_non_integer_rejected(self, call):
+        # int() would truncate 2.9 to 2; an integer field takes only ints
         with pytest.raises(TypeError):
             call()
