@@ -10,12 +10,14 @@ import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import comb
 from typing import Sequence, Union
 
 from .lattice import ParityViolation
 from .modforms import divisor_sigma, theta_e8
-from .series import QSeries, _as_fraction, _euler_product_t, product_family
+from .series import (QSeries, _as_fraction, _euler_product_t, _json_int,
+                     _poly_str, _product, product_family)
 
 Rational = Union[int, Fraction]
 
@@ -131,30 +133,22 @@ class BiSeries:
         return self.coeffs[k]
 
     def __mul__(self, other: "BiSeries") -> "BiSeries":
+        """Truncated product by the packed product of ``QSeries``, with the
+        t-polynomials laid end to end.  The t-degree at q**k is at most 4k,
+        so with stride 4n - 3 the product's q**m, m < n, fills digits
+        m*stride to (m+1)*stride - 1."""
         if not isinstance(other, BiSeries):
             return NotImplemented
         if (self.var_q, self.var_t) != (other.var_q, other.var_t):
             raise ValueError("variable names differ")
-        n = min(self.order, other.order)
-        out = [[0] for _ in range(n + 1)]
-        for i in range(n + 1):
-            pi = self.coeffs[i]
-            if pi == (0,):
-                continue
-            for j in range(n + 1 - i):
-                pj = other.coeffs[j]
-                if pj == (0,):
-                    continue
-                tgt = out[i + j]
-                need = len(pi) + len(pj) - 1
-                if len(tgt) < need:
-                    tgt.extend([0] * (need - len(tgt)))
-                for a, ca in enumerate(pi):
-                    if ca:
-                        for b, cb in enumerate(pj):
-                            if cb:
-                                tgt[a + b] += ca * cb
-        return BiSeries(out, var_q=self.var_q, var_t=self.var_t, order=n)
+        n = min(self.order, other.order) + 1
+        stride = 4 * n - 3
+        xs, ys = ([*chain.from_iterable(p + (0,) * (stride - len(p))
+                                        for p in f.coeffs[:n])]
+                  for f in (self, other))
+        zs = _product(xs, ys)
+        return BiSeries([zs[m * stride:(m + 1) * stride] for m in range(n)],
+                        var_q=self.var_q, var_t=self.var_t, order=n - 1)
 
     def __eq__(self, other):
         if not isinstance(other, BiSeries):
@@ -177,19 +171,7 @@ class BiSeries:
         return QSeries(cs, var=self.var_q, order=self.order)
 
     def __str__(self):
-        def poly_str(poly):
-            terms = []
-            for a, c in enumerate(poly):
-                if not c:
-                    continue
-                if a == 0:
-                    terms.append(str(c))
-                else:
-                    tv = self.var_t if a == 1 else f"{self.var_t}^{a}"
-                    terms.append(tv if c == 1 else f"-{tv}" if c == -1
-                                 else f"{c}*{tv}")
-            return " + ".join(terms).replace("+ -", "- ") if terms else "0"
-        lines = [f"{self.var_q}^{k}: {poly_str(p)}"
+        lines = [f"{self.var_q}^{k}: {_poly_str(p, self.var_t)}"
                  for k, p in enumerate(self.coeffs)]
         return "\n".join(lines)
 
@@ -203,7 +185,7 @@ class BiSeries:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BiSeries":
-        return cls([[int(c) for c in poly] for poly in data["coeffs"]],
+        return cls([[_json_int(c) for c in poly] for poly in data["coeffs"]],
                    var_q=data["var_q"], var_t=data["var_t"],
                    order=data["order"])
 
@@ -333,6 +315,7 @@ def sw_dimension(c_sq: int, chi_top: int, sigma: int) -> Fraction:
 def sw_p2(c_coeff: int, chamber: str) -> int:
     """Seiberg-Witten invariant of the plane for c = c_coeff * h in the
     given chamber ('+' or '-').  The class must be odd."""
+    c_coeff = operator.index(c_coeff)
     if c_coeff % 2 == 0:
         raise EvenClass(f"{c_coeff}*h is not a spin-c class of the plane")
     if chamber not in ("+", "-"):

@@ -10,19 +10,19 @@ exactly; ring operations (exp, log, q*d/dq, addition of scalars) require a
 zero shift.  All arithmetic is exact over ``fractions.Fraction``; nothing
 here ever rounds.
 
-Products run on Python integers.  A product of two series packs each
-operand's numerators over their common denominator into one integer and
-multiplies once (Kronecker substitution).  Inverse, exp and log are
-compositions of that product: Newton iterations that double the
-precision each step (Brent & Kung, J. ACM 25, 1978).  Infinite products
-prod (1 - c*q**m)**e follow the logarithmic-derivative recurrence over Z.
+Every operation runs on Python integers over common denominators.  A
+product packs each operand's numerators into one integer and multiplies
+once (Kronecker substitution, ``_product``).  Quotients, inverse, log and
+exp are forward substitutions (``_substitute``), and infinite products
+prod (1 - c*q**m)**e the logarithmic-derivative recurrence of
+``_euler_product``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
-from operator import mul
+from math import comb, gcd, lcm
+from operator import index, mul
 from typing import Callable, Iterable, Union
 
 Rational = Union[int, Fraction]
@@ -96,6 +96,33 @@ def _unpack(value: int, width: int, count: int) -> list:
             for i in range(0, width * count, width)]
 
 
+def _product(xs: list, ys: list) -> list:
+    """The first n coefficients of xs*ys for integer lists of length n:
+    one bigint product of the packed lists (Kronecker substitution).  The
+    digits hold the operands too, also when the other one is zero."""
+    n = len(xs)
+    width = _width(max(1, *map(abs, xs)) * max(1, *map(abs, ys)) * n)
+    return _unpack(_pack(xs, width) * _pack(ys, width), width, 2 * n - 1)[:n]
+
+
+def _substitute(bs, ws, vs) -> list:
+    """x_0..x_(n-1) with v_m*x_m = b_m - sum_{k=1..m} w_k*x_(m-k), for
+    rationals b_m, w_k and nonzero v_m.  b and w are scaled to integers,
+    and the x found so far are kept as integer numerators over their least
+    common denominator, so each step is one integer inner product."""
+    (bs, db), (ws, dw) = _scaled(bs), _scaled(ws)
+    xs, den = [], 1
+    for b, v in zip(bs, vs):
+        s = b * dw * den - db * sum(map(mul, ws, reversed(xs)))
+        x = Fraction(s * v.denominator, db * dw * den * v.numerator)
+        if den % x.denominator:
+            scale = x.denominator // gcd(den, x.denominator)
+            xs = [y * scale for y in xs]
+            den *= scale
+        xs.append(x.numerator * (den // x.denominator))
+    return [Fraction(y, den) for y in xs]
+
+
 def _euler_product(factors: Iterable, order: int) -> list:
     """f_0..f_order of prod (1 - c*q**m)**e over integer (m, c, e), m >= 1,
     by n*f_n = sum_{k=1..n} g_k*f_{n-k}, g_k = -sum_{m|k} m*e*c**(k/m)."""
@@ -127,6 +154,29 @@ def _euler_product_t(factors: list, order: int) -> list:
     # ceil((bit_length + 1) / bits) digits: the top digit is signed
     return [_unpack(v, width, (abs(v).bit_length() + bits) // bits)
             for v in values]
+
+
+def _json_int(value) -> int:
+    """An int from a decimal string, as ``to_json_dict`` writes it, or from
+    an exact integer; a float raises TypeError instead of being truncated."""
+    return int(value) if isinstance(value, str) else index(value)
+
+
+def _term(var: str, k: int, c) -> str:
+    if k == 0:
+        return str(c)
+    v = var if k == 1 else f"{var}^{k}"
+    if c == 1:
+        return v
+    if c == -1:
+        return f"-{v}"
+    return f"{c}*{v}"
+
+
+def _poly_str(coeffs, var: str) -> str:
+    """The nonzero terms c*var^k of QSeries and BiSeries, or "0"."""
+    terms = [_term(var, k, c) for k, c in enumerate(coeffs) if c]
+    return " + ".join(terms).replace("+ -", "- ") if terms else "0"
 
 
 class QSeries:
@@ -259,15 +309,11 @@ class QSeries:
         g = self._coerce(other)
         if g is None:
             return NotImplemented
-        # Kronecker substitution: one bigint product of the packed numerators;
-        # the digits hold the operands too, also when the other one is zero
         n = min(self.order, g.order) + 1
         (xs, dx), (ys, dy) = _scaled(self.coeffs[:n]), _scaled(g.coeffs[:n])
-        width = _width(max(1, *map(abs, xs)) * max(1, *map(abs, ys)) * n)
-        zs = _unpack(_pack(xs, width) * _pack(ys, width), width, 2 * n - 1)
         den = dx * dy
-        return QSeries([Fraction(z, den) for z in zs[:n]], var=self.var,
-                       shift=self.shift + g.shift, order=n - 1)
+        return QSeries([Fraction(z, den) for z in _product(xs, ys)],
+                       var=self.var, shift=self.shift + g.shift, order=n - 1)
 
     __rmul__ = __mul__
 
@@ -280,19 +326,17 @@ class QSeries:
         g = self._coerce(other)
         if g is None:
             return NotImplemented
-        return self * g.invert()
+        if g.coeffs[0] == 0:
+            raise NonUnitConstantTerm("cannot invert: constant term is zero")
+        n = min(self.order, g.order) + 1
+        xs = _substitute(self.coeffs[:n], g.coeffs[1:n], [g.coeffs[0]] * n)
+        return QSeries(xs, var=self.var, shift=self.shift - g.shift,
+                       order=n - 1)
 
     def invert(self) -> "QSeries":
         """Multiplicative inverse; the constant term must be a unit.
-        Newton doubling b <- b*(2 - a*b) from b = 1/a_0."""
-        if self.coeffs[0] == 0:
-            raise NonUnitConstantTerm("cannot invert: constant term is zero")
-        b = QSeries([1 / self.coeffs[0]], var=self.var, shift=-self.shift)
-        while b.order < self.order:
-            m = min(2 * b.order + 1, self.order)
-            b = QSeries(b.coeffs, var=self.var, shift=b.shift, order=m)
-            b = b * (2 - self.truncate(m) * b)
-        return b
+        It is 1/self: one forward substitution over the integers."""
+        return QSeries.one(self.order, var=self.var) / self
 
     def __pow__(self, e: int) -> "QSeries":
         if not isinstance(e, int):
@@ -313,27 +357,25 @@ class QSeries:
     # -- transcendental maps -----------------------------------------------
 
     def exp(self) -> "QSeries":
-        """exp of a series with zero constant term and zero shift.
-        Newton doubling g <- g*(1 + f - log g) from g = 1."""
+        """exp of a series with zero constant term and zero shift:
+        g = exp h solves n*g_n = sum_{k=1..n} k*h_k*g_(n-k), g_0 = 1."""
         if self.shift != 0:
             raise ShiftMismatch("exp requires shift 0")
         if self.coeffs[0] != 0:
             raise NonzeroConstantTerm("exp requires constant term 0")
-        g = QSeries.one(0, var=self.var)
-        while g.order < self.order:
-            m = min(2 * g.order + 1, self.order)
-            g = QSeries(g.coeffs, var=self.var, order=m)
-            g = g * (1 + self.truncate(m) - g.log())
-        return g
+        khs = [-kh for kh in self.q_d_dq().coeffs[1:]]
+        gs = _substitute([1] + [0] * self.order, khs,
+                         [1, *range(1, self.order + 1)])
+        return QSeries(gs, var=self.var, order=self.order)
 
     def log(self) -> "QSeries":
         """log of a series with constant term one and zero shift:
-        the integral of (q*d/dq f) / f."""
+        the integral of (q*d/dq f) / f, one forward substitution."""
         if self.shift != 0:
             raise ShiftMismatch("log requires shift 0")
         if self.coeffs[0] != 1:
             raise ConstantTermNotOne("log requires constant term 1")
-        d = (self.q_d_dq() * self.invert()).coeffs
+        d = (self.q_d_dq() / self).coeffs
         return QSeries([0] + [c / k for k, c in enumerate(d[1:], 1)],
                        var=self.var, order=self.order)
 
@@ -356,19 +398,8 @@ class QSeries:
 
     __hash__ = None
 
-    def _term(self, k: int, c: Fraction) -> str:
-        if k == 0:
-            return str(c)
-        v = self.var if k == 1 else f"{self.var}^{k}"
-        if c == 1:
-            return v
-        if c == -1:
-            return f"-{v}"
-        return f"{c}*{v}"
-
     def __str__(self):
-        terms = [self._term(k, c) for k, c in enumerate(self.coeffs) if c]
-        body = " + ".join(terms).replace("+ -", "- ") if terms else "0"
+        body = _poly_str(self.coeffs, self.var)
         body = f"{body} + O({self.var}^{self.order + 1})"
         if self.shift:
             return f"{self.var}^({self.shift})*({body})"
@@ -395,8 +426,10 @@ class QSeries:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "QSeries":
-        shift = Fraction(int(data["shift"][0]), int(data["shift"][1]))
-        coeffs = [Fraction(int(num), int(den)) for num, den in data["coeffs"]]
+        shift = Fraction(_json_int(data["shift"][0]),
+                         _json_int(data["shift"][1]))
+        coeffs = [Fraction(_json_int(num), _json_int(den))
+                  for num, den in data["coeffs"]]
         return cls(coeffs, var=data["var"], shift=shift, order=data["order"])
 
 

@@ -1,6 +1,7 @@
 """Command-line interface tests, run in-process through main(argv)."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -355,10 +356,15 @@ class TestDeterminism(object):
 
 class TestEntryPoints(object):
     def test_module_invocation(self):
+        # the child imports the package under test, installed or not
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "enumgeo.cli", "expand", "eta-quotient",
              "--exponent", "-12", "--order", "3"],
-            capture_output=True, text=True)
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=path))
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[1] == "1, 12, 90, 520"
 

@@ -1,6 +1,7 @@
 """Invariant-series tests: Hilbert-scheme Euler numbers, refined
 two-variable series, section-plus-fiber counts, wall-crossing bookkeeping."""
 
+import random
 import warnings
 from fractions import Fraction
 
@@ -16,10 +17,48 @@ def brute_sigma1(n):
     return sum(d for d in range(1, n + 1) if n % d == 0)
 
 
+def biseries_schoolbook(f, g):
+    """Oracle: the truncated BiSeries product by the plain four-deep loop
+    over q- and t-exponents, skipping zero terms."""
+    n = min(f.order, g.order)
+    out = [[0] for _ in range(n + 1)]
+    for i in range(n + 1):
+        pi = f.coeffs[i]
+        if pi == (0,):
+            continue
+        for j in range(n + 1 - i):
+            pj = g.coeffs[j]
+            if pj == (0,):
+                continue
+            tgt = out[i + j]
+            need = len(pi) + len(pj) - 1
+            if len(tgt) < need:
+                tgt.extend([0] * (need - len(tgt)))
+            for a, ca in enumerate(pi):
+                if ca:
+                    for b, cb in enumerate(pj):
+                        if cb:
+                            tgt[a + b] += ca * cb
+    return inv.BiSeries(out, var_q=f.var_q, var_t=f.var_t, order=n)
+
+
+def rand_biseries(rng, order, bits):
+    """Random t-polynomials of degree <= 4k at q**k, some of them zero."""
+    polys = []
+    for k in range(order + 1):
+        if rng.random() < 0.25:
+            polys.append((0,))
+            continue
+        polys.append(tuple(
+            rng.randint(-2 ** bits, 2 ** bits) if rng.random() < 0.7 else 0
+            for _ in range(rng.randint(1, 4 * k + 1))))
+    return inv.BiSeries(polys, order=order)
+
+
 def goettsche_by_factors(surface, order):
     """Oracle: Göttsche's product as one BiSeries factor
     (1 - (-t)**a q**m)**e per pair (m, Betti index), each expanded by the
-    binomial theorem and multiplied in with BiSeries.__mul__."""
+    binomial theorem and multiplied in by ``biseries_schoolbook``."""
     out = inv.BiSeries.one(order)
     b = surface.betti
     for m in range(1, order + 1):
@@ -30,7 +69,7 @@ def goettsche_by_factors(surface, order):
             for j in range(1, order // m + 1):
                 coeff = int_binomial(e, j) * (-1) ** j * (-1) ** (a * j)
                 polys[m * j] = [0] * (a * j) + [coeff]
-            out = out * inv.BiSeries(polys, order=order)
+            out = biseries_schoolbook(out, inv.BiSeries(polys, order=order))
     return out
 
 
@@ -105,6 +144,30 @@ class TestBiSeries(object):
         assert c.coefficient(0) == (2,)
         assert c.coefficient(1) == (2, 5)           # 2(1+t) + 3t
         assert c.coefficient(2) == (0, 3, 3)        # (1+t) 3t
+
+    def test_mul_matches_schoolbook(self):
+        rng = random.Random(61)
+        for trial in range(420):
+            bits = rng.choice((1, 8, 40, 70, 90))
+            f = rand_biseries(rng, rng.randint(0, 7), bits)
+            g = rand_biseries(rng, rng.randint(0, 7), bits)
+            if trial % 10 == 0:
+                f = inv.BiSeries([(0,)], order=f.order)
+            elif trial % 10 == 1:
+                g = inv.BiSeries([(0,)], order=g.order)
+            for x, y in ((f, g), (g, f)):
+                want = biseries_schoolbook(x, y)
+                got = x * y
+                assert got.order == want.order
+                assert got.coeffs == want.coeffs
+
+    def test_str(self):
+        g = inv.BiSeries([(1,), (-1, 1, 0, -1), (0,), (2, 0, -3, 1)],
+                         order=3)
+        assert str(g) == ("q^0: 1\nq^1: -1 + t - t^3\nq^2: 0\n"
+                          "q^3: 2 - 3*t^2 + t^3")
+        zero = inv.BiSeries([(0,)], var_q="x", var_t="y", order=2)
+        assert str(zero) == "x^0: 0\nx^1: 0\nx^2: 0"
 
     def test_json_round_trip(self):
         g = inv.goettsche_series(inv.SurfaceData.half_k3(), 4)
@@ -417,11 +480,23 @@ class TestExactInputs(object):
         lambda: inv.ChernVector(2, 1, Fraction(0), 1, 1),
         lambda: inv.SWDecomposition(a1_h=1, a2_h=4, sw_a1=1.5, a_value=1),
         lambda: mf.fit_quasi_homogeneous(4, 0, [(0.9, 1)]),
+        lambda: QSeries.from_json_dict(
+            {"var": "q", "shift": ["0", "1"], "order": 0,
+             "coeffs": [[1.5, 1]]}),
+        lambda: QSeries.from_json_dict(
+            {"var": "q", "shift": [0.5, 1], "order": 0,
+             "coeffs": [["1", "1"]]}),
+        lambda: inv.BiSeries.from_json_dict(
+            {"coeffs": [[1.7]], "var_q": "q", "var_t": "t", "order": 0}),
+        lambda: inv.sw_p2(3.5, "+"),
+        lambda: inv.sw_p2(3.0, "+"),
     ], ids=["SurfaceLattice.gram", "adjunction_genus", "SurfaceData.betti",
             "SurfaceData.chi_top", "SurfaceData.chi_O", "SurfaceData.p_g",
             "BiSeries", "gromov_conditions", "ChernVector.r",
             "ChernVector.a_K", "SWDecomposition.sw_a1",
-            "fit_quasi_homogeneous.exponent"])
+            "fit_quasi_homogeneous.exponent", "QSeries.from_json_dict.coeffs",
+            "QSeries.from_json_dict.shift", "BiSeries.from_json_dict",
+            "sw_p2.half", "sw_p2.float"])
     def test_non_integer_rejected(self, call):
         # int() would truncate 2.9 to 2; an integer field takes only ints
         with pytest.raises(TypeError):

@@ -373,7 +373,9 @@ class TestKaratsuba:
 
 
 class TestNewton:
-    # orders 0..33 hit every doubling boundary 2**k - 1, 2**k, 2**k + 1
+    """The forward-substitution kernels of ``/``, ``invert``, ``log`` and
+    ``exp`` against the Fraction-loop oracles."""
+
     ORDERS = range(34)
 
     def test_invert_matches_recurrence(self):
@@ -405,6 +407,41 @@ class TestNewton:
         x = (eisenstein(weight, 60) - 1) / EIS_C1[weight]
         assert x.exp().coefficients() == tuple(exp_loop(x))
 
+    def test_divide_unequal_orders_and_shifts(self):
+        rng = random.Random(93)
+        for _ in range(60):
+            f = rand_series(rng, rng.randint(0, 20),
+                            shift=Fraction(rng.randint(-6, 6), 5))
+            g = rand_series(rng, rng.randint(0, 20), unit=True,
+                            shift=Fraction(rng.randint(-6, 6), 7))
+            got = f / g
+            n = min(f.order, g.order)
+            assert got.order == n and got.shift == f.shift - g.shift
+            assert list(got.coefficients()) == schoolbook(
+                f, QSeries(invert_loop(g)))
+
+    def test_large_non_unit_constant_term(self):
+        rng = random.Random(94)
+        a0 = Fraction(3 ** 90 + 7, -(10 ** 40 + 3))
+        for n in (0, 1, 2, 9, 25):
+            g = QSeries([a0] + [
+                Fraction(rng.randint(-2 ** 80, 2 ** 80),
+                         rng.randint(1, 2 ** 60)) for _ in range(n)],
+                shift=Fraction(2, 3))
+            assert g.invert().coefficients() == tuple(invert_loop(g))
+            f = rand_series(rng, n)
+            assert list((f / g).coefficients()) == schoolbook(
+                f, QSeries(invert_loop(g)))
+
+    def test_round_trips_at_order_300(self):
+        e4 = eisenstein(4, 300)
+        assert e4.log().exp() == e4
+        # large common denominators: factorials in exp h, powers of 21 in f
+        h = (e4 - 1) / 240
+        assert h.exp().log() == h
+        f = QSeries([1, Fraction(1, 3), Fraction(-2, 7)], order=300)
+        assert f.log().exp() == f and f.invert().invert() == f
+
 
 class TestErrors:
     def test_variable_mismatch(self):
@@ -420,6 +457,8 @@ class TestErrors:
     def test_non_unit_inversion(self):
         with pytest.raises(NonUnitConstantTerm):
             QSeries([0, 1]).invert()
+        with pytest.raises(NonUnitConstantTerm):
+            QSeries([1, 2]) / QSeries([0, 1])
         with pytest.raises(NonUnitConstantTerm):
             QSeries([0, 1]) ** -1
 
@@ -460,6 +499,14 @@ class TestSerialization:
             "order": 1,
             "coeffs": [["1", "1"], ["-1", "8"]],
         }
+
+    def test_str(self):
+        f = QSeries([1, -1, 1, Fraction(-1, 2), 0, 2, -3])
+        assert str(f) == "1 - q + q^2 - 1/2*q^3 + 2*q^5 - 3*q^6 + O(q^7)"
+        assert str(QSeries.zero(2)) == "0 + O(q^3)"
+        g = QSeries([-1, 1, Fraction(1, 3)], shift=Fraction(1, 24))
+        assert str(g) == "q^(1/24)*(-1 + q + 1/3*q^2 + O(q^3))"
+        assert str(QSeries([0, -1], shift=-1)) == "q^(-1)*(-q + O(q^2))"
 
     def test_absorb_shift(self):
         f = QSeries([1, 24], shift=1, order=1)
