@@ -160,14 +160,20 @@ class BiSeries:
     __hash__ = None
 
     def eval_t(self, value: Rational) -> QSeries:
-        """Specialize the second variable to an exact rational."""
+        """Specialize the second variable to an exact rational v = p/r.
+
+        Integer Horner over each t-polynomial of degree d gives
+        sum_k c_k p^k r^(d-k); one ``Fraction`` per q-coefficient divides
+        it by r^d."""
         v = _as_fraction(value)
+        p, r = v.numerator, v.denominator
         cs = []
         for poly in self.coeffs:
-            acc = Fraction(0)
+            num, den = 0, 1
             for c in reversed(poly):
-                acc = acc * v + c
-            cs.append(acc)
+                num = num * p + c * den
+                den *= r
+            cs.append(Fraction(num * r, den))
         return QSeries(cs, var=self.var_q, order=self.order)
 
     def __str__(self):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 from typing import Iterable, Sequence
@@ -108,52 +107,15 @@ class SurfaceLattice:
         return 1 + s // 2
 
     def signature(self) -> tuple:
-        """(positive, negative) inertia indices via exact congruence
-        diagonalization; zero pivots are repaired by the symmetric
-        swap-and-combine move."""
-        n = self.rank
-        a = [[Fraction(self.gram[i][j]) for j in range(n)] for i in range(n)]
-
-        def swap(i, j):
-            a[i], a[j] = a[j], a[i]
-            for row in a:
-                row[i], row[j] = row[j], row[i]
-
-        def combine(i, j):
-            # basis move b_i += b_j, applied symmetrically
-            for k in range(n):
-                a[i][k] += a[j][k]
-            for k in range(n):
-                a[k][i] += a[k][j]
-
-        pos = neg = 0
-        for i in range(n):
-            if a[i][i] == 0:
-                pivot = next((j for j in range(i + 1, n) if a[j][j] != 0), None)
-                if pivot is not None:
-                    swap(i, pivot)
-                else:
-                    off = next(((j, k) for j in range(i, n)
-                                for k in range(j + 1, n) if a[j][k] != 0), None)
-                    if off is None:
-                        raise DegenerateForm("form is degenerate")
-                    j, k = off
-                    combine(j, k)        # a[j][j] becomes 2*a[j][k] != 0
-                    if j != i:
-                        swap(i, j)
-            d = a[i][i]
-            if d > 0:
-                pos += 1
-            else:
-                neg += 1
-            for j in range(i + 1, n):
-                if a[j][i]:
-                    f = a[j][i] / d
-                    for k in range(i, n):
-                        a[j][k] -= f * a[i][k]
-                    for k in range(i, n):
-                        a[k][j] -= f * a[k][i]
-        return pos, neg
+        """(positive, negative) inertia indices: the signs of
+        d_i = p_i/p_(i-1) over the pivots p_i of ``_shortvec.pivot_rows``,
+        whose zero-pivot repairs are congruences."""
+        rows = _shortvec.pivot_rows(self.gram)
+        ps = [1] + [row[i] for i, row in enumerate(rows)]
+        if 0 in ps:
+            raise DegenerateForm("form is degenerate")
+        neg = sum((p > 0) != (q > 0) for p, q in zip(ps, ps[1:]))
+        return self.rank - neg, neg
 
     def sublattice(self, vectors: Iterable[Sequence],
                    labels: Sequence[str] | None = None) -> "SurfaceLattice":
@@ -295,12 +257,8 @@ def _exceptional_cached(k: int, degree_bound: int) -> tuple:
                 descend(i + 1, rsum - c, rsq - c * c)
             partial[i] = 0
 
-        if k == 0:
-            if target_sum == 0 and target_sq == 0:
-                results.append((d,))
-        else:
-            descend(0, target_sum, target_sq)
-    return tuple(sorted(set(results)))
+        descend(0, target_sum, target_sq)
+    return tuple(results)       # distinct, and in lexicographic order
 
 
 def exceptional_classes(k: int, degree_bound: int = 6) -> list:

@@ -1,8 +1,10 @@
-"""Short-vector scan tests: the half-space scan against the full-scan
-oracle, exact counts on huge entries, and the public entry point."""
+"""Short-vector scan tests: ``prepare`` and the half-space scan against
+their Fraction-LDL^T and full-scan oracles, exact counts on huge entries,
+and the public entry point."""
 
 import random
-from math import isqrt
+from fractions import Fraction
+from math import isqrt, lcm
 
 import pytest
 
@@ -51,6 +53,32 @@ def count_full(data, norm_max):
     return counts
 
 
+def prepare_fraction(gram):
+    """Reference: the scan data from an LDL^T over Fraction."""
+    n = len(gram)
+    lower = [[Fraction(0)] * n for _ in range(n)]
+    diag = [Fraction(0)] * n
+    for i in range(n):
+        d = Fraction(gram[i][i]) - sum(
+            lower[i][k] ** 2 * diag[k] for k in range(i))
+        if d <= 0:
+            raise pure.NotPositiveDefinite(
+                f"pivot {i} is {d}; the form has a non-positive direction")
+        diag[i] = d
+        for j in range(i + 1, n):
+            s = Fraction(gram[j][i]) - sum(
+                lower[j][k] * lower[i][k] * diag[k] for k in range(i))
+            lower[j][i] = s / d
+    m = [lcm(*(lower[j][i].denominator for j in range(i + 1, n)))
+         for i in range(n)]
+    lm = [[int(lower[j][i] * m[i]) if j > i else 0 for j in range(n)]
+          for i in range(n)]
+    scaled = [diag[i] / (m[i] * m[i]) for i in range(n)]
+    lam = lcm(*(s.denominator for s in scaled))
+    ehat = [int(s * lam) for s in scaled]
+    return {"rank": n, "lm": lm, "m": m, "ehat": ehat, "lam": lam}
+
+
 def random_forms(seed, count, max_rank=6):
     """Seeded positive-definite Gram matrices B^T B + D of rank 0..max_rank:
     B is upper triangular with diagonal 1 or 2 and entries -1..1 above it,
@@ -70,10 +98,40 @@ def random_forms(seed, count, max_rank=6):
 
 class TestPureKernel(object):
     def test_prepare_rejects_indefinite(self):
-        with pytest.raises(pure.NotPositiveDefinite):
-            pure.prepare(((1, 0), (0, -1)))
-        with pytest.raises(pure.NotPositiveDefinite):
-            pure.prepare(((0,),))
+        # the hyperbolic plane has nonzero pivots only after the repair
+        # b_0 += b_1, and must still be rejected
+        for gram in (((1, 0), (0, -1)), ((0,),), ((0, 1), (1, 0)),
+                     ((1, 1), (1, 1))):
+            with pytest.raises(pure.NotPositiveDefinite):
+                pure.prepare(gram)
+
+    def test_prepare_matches_fraction_oracle(self):
+        forms = random_forms(3, 945, max_rank=8)
+        assert {len(gram) for gram, _ in forms} == set(range(9))
+        for gram, data in forms:
+            assert data == prepare_fraction(gram), gram
+
+    def test_prepare_rejects_like_fraction_oracle(self):
+        # shifted diagonals make many forms indefinite or degenerate; the
+        # message matches unless the oracle stops at a zero pivot, which the
+        # elimination repairs before it finds a non-positive one
+        rng = random.Random(4)
+        rejected = 0
+        for gram, _ in random_forms(4, 600, max_rank=8):
+            shifted = tuple(tuple(x - (rng.randint(0, 3) if i == j else 0)
+                                  for j, x in enumerate(row))
+                            for i, row in enumerate(gram))
+            try:
+                expected = prepare_fraction(shifted)
+            except pure.NotPositiveDefinite as exc:
+                rejected += 1
+                with pytest.raises(pure.NotPositiveDefinite) as got:
+                    pure.prepare(shifted)
+                if " is 0;" not in str(exc):
+                    assert str(got.value) == str(exc), shifted
+                continue
+            assert pure.prepare(shifted) == expected, shifted
+        assert 100 < rejected < 500
 
     def test_identity_rank3(self):
         data = pure.prepare(((1, 0, 0), (0, 1, 0), (0, 0, 1)))

@@ -195,6 +195,29 @@ class TestGoettsche(object):
             g = inv.goettsche_series(surface, 12)
             assert g.eval_t(-1) == inv.hilb_euler_series(surface, 12)
 
+    @pytest.mark.parametrize("value", [-1, 0, 2, Fraction(1, 3),
+                                       Fraction(-7, 2)],
+                             ids=["-1", "0", "2", "1/3", "-7/2"])
+    def test_eval_t_matches_fraction_horner(self, value):
+        # reference: Horner's rule over Fraction, coefficient by coefficient
+        def horner(poly):
+            acc = Fraction(0)
+            for c in reversed(poly):
+                acc = acc * value + c
+            return acc
+
+        rng = random.Random(5)
+        series = [inv.goettsche_series(s, 10)
+                  for s in GOETTSCHE_SURFACES.values()]
+        series.append(inv.BiSeries(
+            [[rng.randint(-9, 9) for _ in range(4 * k + 1)]
+             for k in range(8)]))
+        for g in series:
+            expected = [horner(poly) for poly in g.coeffs]
+            got = g.eval_t(value)
+            assert got.order == g.order
+            assert list(got.coeffs) == expected
+
     def test_polynomials_are_palindromic(self):
         # Poincare duality of the punctual Hilbert scheme: the degree-4k
         # polynomial at q^k reads the same in both directions

@@ -2,6 +2,7 @@
 exceptional-class counts."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +11,75 @@ from enumgeo import lattice as lat
 
 def brute_sigma3(n):
     return sum(d ** 3 for d in range(1, n + 1) if n % d == 0)
+
+
+def signature_fraction(gram):
+    """Reference: congruence diagonalization over Fraction; a zero pivot is
+    repaired by a symmetric swap, or by b_j += b_k and a swap."""
+    n = len(gram)
+    a = [[Fraction(gram[i][j]) for j in range(n)] for i in range(n)]
+
+    def swap(i, j):
+        a[i], a[j] = a[j], a[i]
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+
+    def combine(i, j):
+        for k in range(n):
+            a[i][k] += a[j][k]
+        for k in range(n):
+            a[k][i] += a[k][j]
+
+    pos = neg = 0
+    for i in range(n):
+        if a[i][i] == 0:
+            pivot = next((j for j in range(i + 1, n) if a[j][j] != 0), None)
+            if pivot is not None:
+                swap(i, pivot)
+            else:
+                off = next(((j, k) for j in range(i, n)
+                            for k in range(j + 1, n) if a[j][k] != 0), None)
+                if off is None:
+                    raise lat.DegenerateForm("form is degenerate")
+                j, k = off
+                combine(j, k)
+                if j != i:
+                    swap(i, j)
+        d = a[i][i]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        for j in range(i + 1, n):
+            if a[j][i]:
+                f = a[j][i] / d
+                for k in range(i, n):
+                    a[j][k] -= f * a[i][k]
+                for k in range(i, n):
+                    a[k][j] -= f * a[k][i]
+    return pos, neg
+
+
+def random_symmetric(seed, count, max_rank=7):
+    """Seeded symmetric integer forms of rank 0..max_rank; each entry on or
+    above the diagonal is 0 with probability 0.6, else in -2..2, so zero
+    pivots and degenerate forms are common."""
+    rng = random.Random(seed)
+    forms = []
+    for k in range(count):
+        n = k % (max_rank + 1)
+        a = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if rng.random() < 0.4:
+                    a[i][j] = a[j][i] = rng.randint(-2, 2)
+        forms.append(tuple(tuple(row) for row in a))
+    return forms
+
+
+def form(gram):
+    labels = tuple(f"b{i}" for i in range(len(gram)))
+    return lat.SurfaceLattice(rank=len(gram), gram=gram, basis_labels=labels)
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +140,43 @@ class TestGamma19(object):
             v = tuple(rng.randint(-8, 8) for _ in range(10))
             g = g19.adjunction_genus(v)
             assert g == int(g)
+
+
+class TestSignature(object):
+    """``signature`` on the fraction-free pivots against the Fraction
+    diagonalization it replaced."""
+
+    def test_matches_fraction_oracle(self):
+        outcomes = set()
+        for gram in random_symmetric(11, 2400):
+            try:
+                expected = signature_fraction(gram)
+            except lat.DegenerateForm:
+                with pytest.raises(lat.DegenerateForm):
+                    form(gram).signature()
+                outcomes.add("degenerate")
+                continue
+            assert form(gram).signature() == expected, gram
+            outcomes.add("nondegenerate")
+        assert outcomes == {"degenerate", "nondegenerate"}
+
+    @pytest.mark.parametrize("gram, expected", [
+        (((0, 1), (1, 0)), (1, 1)),             # no nonzero diagonal: combine
+        (((0, 1), (1, -1)), (1, 1)),            # a later nonzero diagonal: swap
+        (((0, 1, 0, 0), (1, 0, 0, 0),
+          (0, 0, 0, 1), (0, 0, 1, 0)), (2, 2)),  # U + U
+        ((), (0, 0)),
+    ], ids=["hyperbolic-plane", "swap", "U+U", "rank-0"])
+    def test_pinned(self, gram, expected):
+        assert form(gram).signature() == expected
+
+    @pytest.mark.parametrize("gram", [
+        ((0,),), ((0, 0), (0, 0)), ((1, 1), (1, 1)),
+        ((0, 1, 0), (1, 0, 0), (0, 0, 0)),
+    ], ids=["[0]", "zero-2x2", "rank-1", "U+[0]"])
+    def test_degenerate(self, gram):
+        with pytest.raises(lat.DegenerateForm):
+            form(gram).signature()
 
 
 class TestE8Block(object):
@@ -175,6 +282,12 @@ class TestExceptional(object):
         capped = lat.exceptional_classes(8, degree_bound=5)
         assert len(full) == 240
         assert len(capped) == 232
+
+    def test_sorted_and_distinct(self):
+        for k in range(9):
+            for bound in range(10):
+                classes = lat.exceptional_classes(k, bound)
+                assert classes == sorted(set(classes)), (k, bound)
 
     def test_k_range(self):
         assert lat.exceptional_classes(0) == []
