@@ -221,6 +221,7 @@ def goettsche_series(surface: SurfaceData, order: int) -> BiSeries:
 def bryan_leung_series(genus: int, order: int) -> QSeries:
     """Genus-g series for section-plus-fibers classes on the rational
     elliptic surface: (sum_k k sigma(k) q**(k-1))**g * prod(1-q**m)**-12."""
+    genus = operator.index(genus)
     if genus < 0:
         raise ValueError("genus must be >= 0")
     base = product_family(lambda m: -12, order)

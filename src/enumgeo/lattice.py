@@ -157,25 +157,26 @@ class SurfaceLattice:
         return d
 
 
-def make_gamma19() -> SurfaceLattice:
-    """The rank-10 odd unimodular blowup lattice with K = -F."""
-    gram = tuple(tuple((1 if i == 0 else -1) if i == j else 0
-                       for j in range(10)) for i in range(10))
-    return SurfaceLattice(rank=10, gram=gram,
-                          basis_labels=tuple(f"e{i}" for i in range(10)),
-                          canonical=(-3, 1, 1, 1, 1, 1, 1, 1, 1, 1))
-
-
-def make_del_pezzo(k: int) -> SurfaceLattice:
-    """Blowup lattice of the plane in k points, K = -3e0 + e1 + ... + ek."""
-    if not 0 <= k <= 8:
-        raise ValueError(f"del Pezzo blowup count must be 0..8, got {k}")
+def _blowup_lattice(k: int) -> SurfaceLattice:
+    """diag(1, -1, ..., -1) on e0..ek with K = -3e0 + e1 + ... + ek."""
     n = k + 1
     gram = tuple(tuple((1 if i == 0 else -1) if i == j else 0
                        for j in range(n)) for i in range(n))
     return SurfaceLattice(rank=n, gram=gram,
                           basis_labels=tuple(f"e{i}" for i in range(n)),
                           canonical=tuple([-3] + [1] * k))
+
+
+def make_gamma19() -> SurfaceLattice:
+    """The rank-10 odd unimodular blowup lattice with K = -F."""
+    return _blowup_lattice(9)
+
+
+def make_del_pezzo(k: int) -> SurfaceLattice:
+    """Blowup lattice of the plane in k points, K = -3e0 + e1 + ... + ek."""
+    if not 0 <= k <= 8:
+        raise ValueError(f"del Pezzo blowup count must be 0..8, got {k}")
+    return _blowup_lattice(k)
 
 
 def gamma19_named_vectors() -> dict:
@@ -264,6 +265,8 @@ def _exceptional_cached(k: int, degree_bound: int) -> tuple:
 def exceptional_classes(k: int, degree_bound: int = 6) -> list:
     """All classes with K*beta = beta^2 = -1 on the k-point blowup,
     searched over |beta . e0| <= degree_bound; sorted lexicographically."""
+    # lru_cache would take 2.0 for 2, so floats are refused before the lookup
+    k, degree_bound = operator.index(k), operator.index(degree_bound)
     if not 0 <= k <= 8:
         raise ValueError(f"blowup count must be 0..8, got {k}")
     if degree_bound < 0:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Sequence
 
 from . import lattice as _lattice
@@ -27,6 +27,7 @@ class OddOrNonpositiveWeight(ValueError):
 
 def divisor_sigma(n: int, k: int) -> int:
     """Sum of k-th powers of the divisors of n >= 1."""
+    n, k = operator.index(n), operator.index(k)
     if n < 1:
         raise ValueError("n must be >= 1")
     total = 0
@@ -123,14 +124,9 @@ def weight_monomials(weight: int) -> MonomialBasis:
 def monomial_series(m: Sequence, order: int) -> QSeries:
     """The q-expansion of E2^i * E4^j * E6^k."""
     i, j, k = m
-    out = QSeries.one(order)
-    if i:
-        out = out * eisenstein(2, order) ** i
-    if j:
-        out = out * eisenstein(4, order) ** j
-    if k:
-        out = out * eisenstein(6, order) ** k
-    return out
+    powers = [eisenstein(w, order) ** e for w, e in ((2, i), (4, j), (6, k))
+              if e]
+    return reduce(operator.mul, powers) if powers else QSeries.one(order)
 
 
 @dataclass(frozen=True)
@@ -170,24 +166,24 @@ class FitResult:
 def solve_exact(rows: Sequence, rhs: Sequence) -> tuple:
     """Solve A x = b exactly over the rationals.
 
-    Returns (consistent, particular, nullspace).  Forward elimination is
-    fraction-free (Bareiss) on denominator-cleared integer rows; back
-    substitution runs over Fraction.  The particular solution sets all free
-    variables to zero; the nullspace basis has one vector per free column.
+    Returns (consistent, particular, nullspace).  The particular solution
+    sets all free variables to zero; the nullspace basis has one vector per
+    free column.  The solve stays in the integers: fraction-free (Bareiss)
+    elimination of the denominator-cleared rows, then fraction-free back
+    substitution of D * x, which is integral for D the last pivot.  Every
+    vector is re-checked against the rows as they were before elimination.
     """
     m = len(rows)
     if m != len(rhs):
         raise ValueError("one right-hand side per row required")
     n = len(rows[0]) if m else 0
-    exact_rows = [[_as_fraction(x) for x in row] for row in rows]
-    exact_rhs = [_as_fraction(b) for b in rhs]
-    aug = []
-    for row, b in zip(exact_rows, exact_rhs):
-        if len(row) != n:
-            raise ValueError("ragged coefficient matrix")
-        aug.append(_scaled(row + [b])[0])
+    aug = [[_as_fraction(x) for x in (*row, b)] for row, b in zip(rows, rhs)]
+    if any(len(row) != n + 1 for row in aug):
+        raise ValueError("ragged coefficient matrix")
+    aug = [_scaled(row)[0] for row in aug]
+    original = [row[:] for row in aug]
 
-    pivots = []  # (row, col)
+    pivots = []  # pivots[r] is the pivot column of row r
     r = 0
     prev = 1
     for c in range(n):
@@ -201,51 +197,29 @@ def solve_exact(rows: Sequence, rhs: Sequence) -> tuple:
             aug[i] = [(piv * aug[i][k] - head * aug[r][k]) // prev
                       for k in range(n + 1)]
         prev = piv
-        pivots.append((r, c))
+        pivots.append(c)
         r += 1
         if r == m:
             break
 
-    consistent = True
-    for row in aug[r:]:
-        if not any(row[:n]) and row[n]:
-            consistent = False
-
-    pivot_cols = [c for _, c in pivots]
-    free_cols = [c for c in range(n) if c not in pivot_cols]
-
-    def back_substitute(rhs_col, free_values):
-        x = [Fraction(0)] * n
-        for c, v in zip(free_cols, free_values):
-            x[c] = Fraction(v)
-        for row, c in reversed(pivots):
-            acc = Fraction(aug[row][n]) if rhs_col else Fraction(0)
-            for k in range(c + 1, n):
-                if aug[row][k] and x[k]:
-                    acc -= aug[row][k] * x[k]
-            x[c] = acc / aug[row][c]
-        return tuple(x)
-
-    particular = back_substitute(True, [0] * len(free_cols)) if consistent else None
-    nullspace = []
-    for idx in range(len(free_cols)):
-        unit = [1 if t == idx else 0 for t in range(len(free_cols))]
-        nullspace.append(back_substitute(False, unit))
-
-    # exact re-verification against the original system
-    def residual(x, want_rhs):
-        for row, b in zip(exact_rows, exact_rhs):
-            lhs = sum(a * v for a, v in zip(row, x))
-            if lhs != (b if want_rhs else 0):
-                return False
-        return True
-
-    if particular is not None and not residual(particular, True):
-        raise AssertionError("elimination produced a bad particular solution")
-    for v in nullspace:
-        if not residual(v, False):
-            raise AssertionError("elimination produced a bad nullspace vector")
-    return consistent, particular, tuple(nullspace)
+    # rows below the rank are zero in every coefficient column
+    consistent = not any(row[n] for row in aug[r:])
+    # with D = prev, the last pivot, column n seeds X = D * (x, -1) and a
+    # free column f seeds X = D * (e_f, 0)
+    seeds = [n] if consistent else []
+    seeds += [f for f in range(n) if f not in pivots]
+    solutions = []
+    for seed in seeds:
+        x = [0] * (n + 1)
+        x[seed] = -prev if seed == n else prev
+        for row, c in zip(reversed(aug[:r]), reversed(pivots)):
+            x[c] = -sum(map(operator.mul, row[c + 1:], x[c + 1:])) // row[c]
+        # exact re-verification against the original system
+        if any(sum(map(operator.mul, row, x)) for row in original):
+            raise AssertionError("elimination produced a bad solution")
+        solutions.append(tuple(Fraction(v, prev) for v in x[:n]))
+    particular = solutions.pop(0) if consistent else None
+    return consistent, particular, tuple(solutions)
 
 
 def fit_quasi_homogeneous(weight: int, eta_exponent: int,
@@ -269,7 +243,7 @@ def fit_quasi_homogeneous(weight: int, eta_exponent: int,
     columns = [monomial_series(mono, order) * eta_part
                for mono in basis.monomials]
     rows = [[col.coefficient(e) for col in columns] for e in exps]
-    rhs = [_as_fraction(v) for _, v in targets]
+    rhs = [v for _, v in targets]
     consistent, particular, nullspace = solve_exact(rows, rhs)
     return FitResult(basis=basis, eta_exponent=eta_exponent,
                      particular=particular, nullspace=nullspace,

@@ -513,13 +513,23 @@ class TestExactInputs(object):
             {"coeffs": [[1.7]], "var_q": "q", "var_t": "t", "order": 0}),
         lambda: inv.sw_p2(3.5, "+"),
         lambda: inv.sw_p2(3.0, "+"),
+        lambda: mf.divisor_sigma(6, 1.5),
+        lambda: mf.divisor_sigma(6.0, 1),
+        # the first call warms the cache that 2.0 would otherwise hit
+        lambda: (lat.exceptional_classes(2, 6),
+                 lat.exceptional_classes(2.0, 6)),
+        lambda: (lat.exceptional_classes(2, 6),
+                 lat.exceptional_classes(2, 6.0)),
+        lambda: inv.bryan_leung_series(0.0, 3),
     ], ids=["SurfaceLattice.gram", "adjunction_genus", "SurfaceData.betti",
             "SurfaceData.chi_top", "SurfaceData.chi_O", "SurfaceData.p_g",
             "BiSeries", "gromov_conditions", "ChernVector.r",
             "ChernVector.a_K", "SWDecomposition.sw_a1",
             "fit_quasi_homogeneous.exponent", "QSeries.from_json_dict.coeffs",
             "QSeries.from_json_dict.shift", "BiSeries.from_json_dict",
-            "sw_p2.half", "sw_p2.float"])
+            "sw_p2.half", "sw_p2.float", "divisor_sigma.k", "divisor_sigma.n",
+            "exceptional_classes.k", "exceptional_classes.degree_bound",
+            "bryan_leung_series.genus"])
     def test_non_integer_rejected(self, call):
         # int() would truncate 2.9 to 2; an integer field takes only ints
         with pytest.raises(TypeError):

@@ -7,11 +7,121 @@ from fractions import Fraction
 import pytest
 
 from enumgeo import modforms as mf
-from enumgeo.series import QSeries, product_family
+from enumgeo.series import QSeries, _as_fraction, _scaled, product_family
 
 
 def brute_sigma(n, k):
     return sum(d ** k for d in range(1, n + 1) if n % d == 0)
+
+
+def solve_fraction(rows, rhs):
+    """Reference: Bareiss forward pass, then back substitution and the
+    residual check over Fraction."""
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    exact_rows = [[_as_fraction(x) for x in row] for row in rows]
+    exact_rhs = [_as_fraction(b) for b in rhs]
+    aug = [_scaled(row + [b])[0] for row, b in zip(exact_rows, exact_rhs)]
+    pivots = []  # (row, col)
+    r = 0
+    prev = 1
+    for c in range(n):
+        p = next((i for i in range(r, m) if aug[i][c]), None)
+        if p is None:
+            continue
+        aug[r], aug[p] = aug[p], aug[r]
+        piv = aug[r][c]
+        for i in range(r + 1, m):
+            head = aug[i][c]
+            aug[i] = [(piv * aug[i][k] - head * aug[r][k]) // prev
+                      for k in range(n + 1)]
+        prev = piv
+        pivots.append((r, c))
+        r += 1
+        if r == m:
+            break
+    consistent = True
+    for row in aug[r:]:
+        if not any(row[:n]) and row[n]:
+            consistent = False
+    pivot_cols = [c for _, c in pivots]
+    free_cols = [c for c in range(n) if c not in pivot_cols]
+
+    def back_substitute(rhs_col, free_values):
+        x = [Fraction(0)] * n
+        for c, v in zip(free_cols, free_values):
+            x[c] = Fraction(v)
+        for row, c in reversed(pivots):
+            acc = Fraction(aug[row][n]) if rhs_col else Fraction(0)
+            for k in range(c + 1, n):
+                if aug[row][k] and x[k]:
+                    acc -= aug[row][k] * x[k]
+            x[c] = acc / aug[row][c]
+        return tuple(x)
+
+    particular = (back_substitute(True, [0] * len(free_cols))
+                  if consistent else None)
+    nullspace = [back_substitute(False, [int(t == idx)
+                                         for t in range(len(free_cols))])
+                 for idx in range(len(free_cols))]
+    for row, b in zip(exact_rows, exact_rhs):
+        if particular is not None:
+            assert sum(a * v for a, v in zip(row, particular)) == b
+        for x in nullspace:
+            assert sum(a * v for a, v in zip(row, x)) == 0
+    return consistent, particular, tuple(nullspace)
+
+
+_DENOMINATORS = (1, 1, 1, 2, 3, 7, 12, 10 ** 12 + 39)
+
+
+def random_systems(seed, count):
+    """Systems of 0-8 rows and 1-8 columns with zero rows, rows dependent
+    on earlier ones, and right-hand sides that break that dependence."""
+    rng = random.Random(seed)
+
+    def entry():
+        if rng.random() < 0.3:
+            return 0
+        return Fraction(rng.randint(-9, 9), rng.choice(_DENOMINATORS))
+
+    for _ in range(count):
+        m, n = rng.randint(0, 8), rng.randint(1, 8)
+        rows, rhs = [], []
+        for _ in range(m):
+            kind = rng.random()
+            if kind < 0.1:
+                row, b = [0] * n, rng.choice((0, entry()))
+            elif kind < 0.45 and rows:
+                coefs = [entry() for _ in rows]
+                row = [sum(c * r[j] for c, r in zip(coefs, rows))
+                       for j in range(n)]
+                b = sum(c * x for c, x in zip(coefs, rhs))
+                if rng.random() < 0.3:
+                    b += Fraction(1, rng.choice(_DENOMINATORS))
+            else:
+                row, b = [entry() for _ in range(n)], entry()
+            rows.append(row)
+            rhs.append(b)
+        yield rows, rhs
+
+
+def fit_system(weight, eta_exponent, variant):
+    """The rows and right-hand sides fit_quasi_homogeneous solves for one
+    target per monomial."""
+    basis = mf.weight_monomials(weight)
+    count = len(basis)
+    if variant == 0:
+        targets = [(k, Fraction((k + 1) ** 2)) for k in range(count)]
+    else:
+        targets = [(k, Fraction((-1) ** k * (2 * k + 1), k + 2))
+                   for k in range(count)]
+    order = count - 1
+    eta = product_family(lambda m: eta_exponent, order)
+    columns = [mf.monomial_series(mono, order) * eta
+               for mono in basis.monomials]
+    rows = [[col.coefficient(e) for col in columns] for e, _ in targets]
+    return rows, [v for _, v in targets]
 
 
 class TestEisenstein:
@@ -105,6 +215,17 @@ class TestMonomialBasis:
     def test_labels(self):
         assert mf.weight_monomials(4).labels() == ("E4", "E2^2")
 
+    @pytest.mark.parametrize("order", [0, 5, 30])
+    def test_monomial_series_is_product_of_powers(self, order):
+        monomials = {(0, 0, 0)} | {m for w in range(2, 17, 2)
+                                   for m in mf.weight_monomials(w).monomials}
+        for m in sorted(monomials):
+            want = QSeries.one(order)
+            for w, e in zip((2, 4, 6), m):
+                want = want * mf.eisenstein(w, order) ** e
+            got = mf.monomial_series(m, order)
+            assert got.order == order and got == want
+
 
 class TestSolveExact:
     def test_against_random_known_solutions(self):
@@ -137,6 +258,35 @@ class TestSolveExact:
             [[1, 1, 1]], [6])
         assert consistent and len(nullspace) == 2
         assert sum(particular) == 6
+
+    def test_matches_fraction_oracle(self):
+        kinds = set()
+        for rows, rhs in random_systems(808, 2400):
+            got = mf.solve_exact(rows, rhs)
+            assert got == solve_fraction(rows, rhs)
+            assert all(type(v) is Fraction
+                       for vec in (got[1] or (),) + got[2] for v in vec)
+            kinds.add((len(rows) == 0, got[0], len(got[2]) > 0))
+        # systems without rows (so without columns), and consistent and
+        # inconsistent systems with and without a nullspace, all occur
+        assert kinds == {(True, True, False), (False, True, False),
+                         (False, True, True), (False, False, True),
+                         (False, False, False)}
+
+    @pytest.mark.parametrize("eta_exponent", [-24, -12, 0])
+    def test_fit_systems_match_fraction_oracle(self, eta_exponent):
+        for weight in range(12, 31, 2):
+            for variant in (0, 1):
+                rows, rhs = fit_system(weight, eta_exponent, variant)
+                assert mf.solve_exact(rows, rhs) == solve_fraction(rows, rhs)
+
+    def test_zero_row(self):
+        basis = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+        assert mf.solve_exact([[0, 0]], [0]) == (True, (0, 0), basis)
+        assert mf.solve_exact([[0, 0]], [1]) == (False, None, basis)
+
+    def test_no_rows(self):
+        assert mf.solve_exact([], []) == (True, (), ())
 
 
 class TestFit:
