@@ -23,7 +23,7 @@ from . import invariants as inv
 from . import lattice as lat
 from . import modforms as mf
 from . import verify as ver
-from .series import QSeries, SeriesError, product_family
+from .series import QSeries
 
 _SURFACES = {
     "p2": inv.SurfaceData.projective_plane,
@@ -32,13 +32,8 @@ _SURFACES = {
 }
 
 
-def _fmt_rational(c) -> str:
-    c = Fraction(c)
-    return str(c.numerator) if c.denominator == 1 else str(c)
-
-
 def _coeff_line(series: QSeries) -> str:
-    return ", ".join(_fmt_rational(c) for c in series.coefficients())
+    return ", ".join(map(str, series.coefficients()))
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -216,7 +211,7 @@ def _cmd_sw_closed_form(args) -> int:
 
 
 def _cmd_sw_dimension(args) -> int:
-    print(_fmt_rational(inv.sw_dimension(args.c_sq, args.chi_top, args.sigma)))
+    print(inv.sw_dimension(args.c_sq, args.chi_top, args.sigma))
     return 0
 
 
@@ -235,7 +230,10 @@ def _pair_to_fraction(pair) -> Fraction:
 
 def _cmd_sw_mochizuki(args) -> int:
     with open(args.file, encoding="utf-8") as fh:
-        data = _wall(json.load(fh), dict)
+        try:
+            data = _wall(json.load(fh), dict)
+        except RecursionError as exc:  # nesting deeper than the stack
+            raise ValueError(f"wall file: {exc}") from None
     vdata = _wall(data["v"], dict)
     v = inv.ChernVector(*[_wall(vdata[k], int)
                           for k in ("r", "a_h", "a_K", "a_sq")],
@@ -257,7 +255,7 @@ def _cmd_sw_mochizuki(args) -> int:
         _emit_json({"result": [str(result.numerator), str(result.denominator)],
                     "hypothesis_warnings": [str(w.message) for w in caught]})
     else:
-        print(_fmt_rational(result))
+        print(result)
     return 0
 
 
@@ -281,11 +279,11 @@ def _cmd_fit(args) -> int:
     labels = fit.basis.labels()
     if fit.particular is not None:
         for label, c in zip(labels, fit.particular):
-            print(f"{label}: {_fmt_rational(c)}")
+            print(f"{label}: {c}")
     else:
         print("inconsistent system; no particular solution")
     for i, vec in enumerate(fit.nullspace):
-        body = ", ".join(f"{label}: {_fmt_rational(c)}"
+        body = ", ".join(f"{label}: {c}"
                          for label, c in zip(labels, vec))
         print(f"nullspace[{i}]: {body}")
     return 0
@@ -411,8 +409,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SeriesError, ValueError, KeyError, OSError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,8 +16,8 @@ from typing import Sequence, Union
 
 from .lattice import ParityViolation
 from .modforms import divisor_sigma, theta_e8
-from .series import (QSeries, _as_fraction, _euler_product_t, _json_int,
-                     _poly_str, _product, product_family)
+from .series import (QSeries, _as_fraction, _digits, _euler_product_t,
+                     _json_int, _pack, _poly_str, _width, product_family)
 
 Rational = Union[int, Fraction]
 
@@ -133,22 +133,23 @@ class BiSeries:
         return self.coeffs[k]
 
     def __mul__(self, other: "BiSeries") -> "BiSeries":
-        """Truncated product by the packed product of ``QSeries``, with the
-        t-polynomials laid end to end.  The t-degree at q**k is at most 4k,
-        so with stride 4n - 3 the product's q**m, m < n, fills digits
-        m*stride to (m+1)*stride - 1."""
+        """Truncated product with each t-polynomial packed into one integer
+        at t = 2**(8*width), as ``goettsche_series`` does: q**m is then the
+        integer convolution sum_{i<=m} X_i*Y_(m-i).  Its t-digits are sums
+        of at most n*max(len Y_j) digit products, which sets the width."""
         if not isinstance(other, BiSeries):
             return NotImplemented
         if (self.var_q, self.var_t) != (other.var_q, other.var_t):
             raise ValueError("variable names differ")
         n = min(self.order, other.order) + 1
-        stride = 4 * n - 3
-        xs, ys = ([*chain.from_iterable(p + (0,) * (stride - len(p))
-                                        for p in f.coeffs[:n])]
-                  for f in (self, other))
-        zs = _product(xs, ys)
-        return BiSeries([zs[m * stride:(m + 1) * stride] for m in range(n)],
-                        var_q=self.var_q, var_t=self.var_t, order=n - 1)
+        fs, gs = self.coeffs[:n], other.coeffs[:n]
+        width = _width(max(1, *map(abs, chain(*fs))) * n * max(map(len, gs))
+                       * max(1, *map(abs, chain(*gs))))
+        xs, ys = ([_pack(p, width) for p in f] for f in (fs, gs))
+        zs = [sum(map(operator.mul, xs[:m + 1], reversed(ys[:m + 1])))
+              for m in range(n)]
+        return BiSeries([_digits(z, width) for z in zs], var_q=self.var_q,
+                        var_t=self.var_t, order=n - 1)
 
     def __eq__(self, other):
         if not isinstance(other, BiSeries):

@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 
 from . import _shortvec
 from ._shortvec import NotPositiveDefinite
+from .series import _signed_sum
 
 Vector = tuple  # integer coordinate tuples
 
@@ -128,23 +129,8 @@ class SurfaceLattice:
                               basis_labels=tuple(labels))
 
     def format_vector(self, v: Sequence) -> str:
-        w = self._check_vector(v)
-        parts = []
-        for c, name in zip(w, self.basis_labels):
-            if not c:
-                continue
-            if c == 1:
-                parts.append(f"+ {name}")
-            elif c == -1:
-                parts.append(f"- {name}")
-            elif c > 0:
-                parts.append(f"+ {c}*{name}")
-            else:
-                parts.append(f"- {-c}*{name}")
-        if not parts:
-            return "0"
-        out = " ".join(parts)
-        return out[2:] if out.startswith("+ ") else "-" + out[2:]
+        """The signed sum c_1*label_1 + ... of the nonzero coordinates."""
+        return _signed_sum(zip(self.basis_labels, self._check_vector(v)))
 
     def to_json_dict(self) -> dict:
         d = {

@@ -26,10 +26,12 @@ class OddOrNonpositiveWeight(ValueError):
 
 
 def divisor_sigma(n: int, k: int) -> int:
-    """Sum of k-th powers of the divisors of n >= 1."""
+    """Sum of k-th powers of the divisors of n >= 1, for k >= 0."""
     n, k = operator.index(n), operator.index(k)
     if n < 1:
         raise ValueError("n must be >= 1")
+    if k < 0:
+        raise ValueError("k must be >= 0")
     total = 0
     d = 1
     while d * d <= n:

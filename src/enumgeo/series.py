@@ -96,6 +96,13 @@ def _unpack(value: int, width: int, count: int) -> list:
             for i in range(0, width * count, width)]
 
 
+def _digits(value: int, width: int) -> list:
+    """All signed digits of ``value`` as ``_pack`` wrote them: its bits and
+    one more, rounded up to whole digits, so that the top digit is signed."""
+    bits = 8 * width
+    return _unpack(value, width, (abs(value).bit_length() + bits) // bits)
+
+
 def _product(xs: list, ys: list) -> list:
     """The first n coefficients of xs*ys for integer lists of length n:
     one bigint product of the packed lists (Kronecker substitution).  The
@@ -143,17 +150,14 @@ def _euler_product(factors: Iterable, order: int) -> list:
 
 def _euler_product_t(factors: list, order: int) -> list:
     """prod (1 - s*t**a*q**m)**e over (m, a, s, e), s = +-1, as integer
-    t-polynomials at q**0..q**order, by ``_euler_product`` at t = 2**bits.
+    t-polynomials at q**0..q**order: ``_euler_product`` at t = 2**(8*width).
     The majorant prod (1 - q**m)**(-|e|) bounds every t-coefficient."""
     majorant = _euler_product([(m, 1, -abs(e)) for m, _, _, e in factors],
                               order)
     width = _width(max(majorant))
-    bits = 8 * width
-    values = _euler_product([(m, s << (bits * a), e)
+    values = _euler_product([(m, s << (8 * width * a), e)
                              for m, a, s, e in factors], order)
-    # ceil((bit_length + 1) / bits) digits: the top digit is signed
-    return [_unpack(v, width, (abs(v).bit_length() + bits) // bits)
-            for v in values]
+    return [_digits(v, width) for v in values]
 
 
 def _json_int(value) -> int:
@@ -162,21 +166,24 @@ def _json_int(value) -> int:
     return int(value) if isinstance(value, str) else index(value)
 
 
-def _term(var: str, k: int, c) -> str:
-    if k == 0:
-        return str(c)
-    v = var if k == 1 else f"{var}^{k}"
-    if c == 1:
-        return v
-    if c == -1:
-        return f"-{v}"
-    return f"{c}*{v}"
+def _signed_sum(terms) -> str:
+    """The pairs (name, c), c != 0, as "c*name" joined by " + " or " - ",
+    or "0"; |c| = 1 prints the name alone, an empty name |c| alone."""
+    out = ""
+    for name, c in terms:
+        if c:
+            m = abs(c)
+            body = (name if m == 1 else f"{m}*{name}") if name else str(m)
+            out += (" - " if c < 0 else " + ") + body
+    if not out:
+        return "0"
+    return out[3:] if out[1] == "+" else "-" + out[3:]
 
 
 def _poly_str(coeffs, var: str) -> str:
     """The nonzero terms c*var^k of QSeries and BiSeries, or "0"."""
-    terms = [_term(var, k, c) for k, c in enumerate(coeffs) if c]
-    return " + ".join(terms).replace("+ -", "- ") if terms else "0"
+    names = ("", var, *(f"{var}^{k}" for k in range(2, len(coeffs))))
+    return _signed_sum(zip(names, coeffs))
 
 
 class QSeries:

@@ -289,6 +289,17 @@ class TestSW(object):
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
+    @pytest.mark.parametrize("opener", ["[", '{"v": '])
+    def test_mochizuki_deeply_nested_file(self, capsys, tmp_path, opener):
+        # json.load raises RecursionError here, which is not a ValueError
+        path = tmp_path / "wall.json"
+        path.write_text(opener * 200000)
+        rc, out, err = run_cli(capsys, "sw", "mochizuki", "--file", str(path))
+        assert rc == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: wall file: ")
+
 
 class TestFit(object):
     ARGS = ("fit", "--weight", "10", "--eta-exponent", "-24",

@@ -1,0 +1,74 @@
+"""CLI output byte for byte: replay the ``cli-fresh`` requests of the
+benchmark's golden file and compare digests of exit code, stdout and stderr.
+
+``geobench/goldens.json`` maps each request ``"cli <argv>"`` to the sha256
+of its canonical JSON outcome, or to ``"exit2"`` for a malformed request.
+The file is only read here.  Requests that run the E8 scan (``verify
+all``, the theta checks, ``lattice enumerate``) are left to the benchmark
+for time, and the ``@``-tokens name wall files that only the benchmark
+writes.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from enumgeo import cli
+
+GOLDENS = Path(__file__).resolve().parents[1] / "geobench" / "goldens.json"
+SKIPPED = ("verify all", "theta", "enumerate", "@")
+
+
+def replayed():
+    with GOLDENS.open(encoding="utf-8") as fh:
+        goldens = json.load(fh)["cli-fresh"]
+    return {key: want for key, want in goldens.items()
+            if not any(word in key for word in SKIPPED)}
+
+
+def outcome(capsys, argv):
+    try:
+        rc = cli.main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        rc = exc.code
+    captured = capsys.readouterr()
+    return {"rc": rc, "stdout": captured.out, "stderr": captured.err}
+
+
+@pytest.fixture
+def no_env_order(monkeypatch):
+    monkeypatch.delenv("ENUMGEO_ORDER", raising=False)
+
+
+def test_replay_covers_every_kind_of_request():
+    keys = replayed()
+    assert len(keys) >= 400
+    words = {key.split()[1] for key in keys}
+    assert words == {"expand", "verify", "lattice", "sw", "fit"}
+    assert sum(want == "exit2" for want in keys.values()) >= 5
+
+
+def test_outputs_match_golden_digests(capsys, no_env_order):
+    mismatched = []
+    for key, want in replayed().items():
+        if want == "exit2":
+            continue
+        got = outcome(capsys, key.split()[1:])
+        text = json.dumps(got, sort_keys=True, separators=(",", ":"))
+        if hashlib.sha256(text.encode()).hexdigest() != want:
+            mismatched.append(key)
+    assert mismatched == []
+
+
+def test_malformed_requests_exit_2_with_one_error_line(capsys, no_env_order):
+    for key, want in replayed().items():
+        if want != "exit2":
+            continue
+        got = outcome(capsys, key.split()[1:])
+        assert got["rc"] == 2, key
+        assert got["stdout"] == "", key
+        lines = [line for line in got["stderr"].splitlines() if line]
+        assert sum("error:" in line for line in lines) == 1, key
+        assert "Traceback" not in got["stderr"], key

@@ -161,6 +161,63 @@ class TestBiSeries(object):
                 assert got.order == want.order
                 assert got.coeffs == want.coeffs
 
+    @pytest.mark.parametrize("left", ["p2", "k3", "b9", "abelian"])
+    def test_mul_of_goettsche_series_matches_schoolbook(self, left):
+        # every pair of surfaces at orders 0-15, also of different orders
+        for order in range(16):
+            f = inv.goettsche_series(GOETTSCHE_SURFACES[left], order)
+            for right in ("p2", "k3", "b9", "abelian"):
+                other = GOETTSCHE_SURFACES[right]
+                for n in (order, (order * 7) % 16):
+                    g = inv.goettsche_series(other, n)
+                    want = biseries_schoolbook(f, g)
+                    assert (f * g).coeffs == want.coeffs, (right, order, n)
+
+    @pytest.mark.parametrize("shape", ["sparse", "dense", "negative",
+                                       "extreme", "all-zero"])
+    def test_mul_shapes_match_schoolbook(self, shape):
+        # the two orders are drawn independently, so most pairs differ
+        rng = random.Random(shape)
+
+        def poly(k):
+            if shape == "sparse":      # one monomial, most q-orders empty
+                if rng.random() < 0.6:
+                    return (0,)
+                a = rng.randint(0, 4 * k)
+                return (0,) * a + (rng.choice((-1, 1)) * rng.randint(1, 9),)
+            if shape == "dense":       # full degree 4k, no zero digit
+                return tuple(rng.choice((-1, 1)) * rng.randint(1, 2 ** 64)
+                             for _ in range(4 * k + 1))
+            if shape == "negative":
+                return tuple(-rng.randint(1, 2 ** 20)
+                             for _ in range(rng.randint(1, 4 * k + 1)))
+            if shape == "extreme":     # digits at the edge of a byte width
+                return tuple(rng.choice((-1, 1)) * (2 ** rng.choice(
+                    (7, 8, 15, 16, 63, 64)) - rng.randint(0, 1))
+                    for _ in range(rng.randint(1, 4 * k + 1)))
+            return (0,)
+
+        for _ in range(30):
+            f, g = (inv.BiSeries([poly(k) for k in range(n + 1)], order=n)
+                    for n in (rng.randint(0, 12), rng.randint(0, 12)))
+            for x, y in ((f, g), (g, f), (f, f)):
+                want = biseries_schoolbook(x, y)
+                got = x * y
+                assert got.order == want.order
+                assert got.coeffs == want.coeffs
+
+    def test_mul_at_the_digit_bound(self):
+        # with every coefficient +-c, a middle t-digit of the product sums
+        # many products c*c; as c grows its size passes every bit position
+        # of a packed digit, so some c puts it at the top of its width
+        for bits in range(1, 65):
+            c = 2 ** bits - 1
+            f = inv.BiSeries([(c,) * (4 * k + 1) for k in range(9)], order=8)
+            g = inv.BiSeries([(c, -c) * 2 * k + (c,) for k in range(9)],
+                             order=8)
+            for x, y in ((f, f), (f, g), (g, g)):
+                assert (x * y).coeffs == biseries_schoolbook(x, y).coeffs
+
     def test_str(self):
         g = inv.BiSeries([(1,), (-1, 1, 0, -1), (0,), (2, 0, -3, 1)],
                          order=3)

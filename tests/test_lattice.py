@@ -60,6 +60,28 @@ def signature_fraction(gram):
     return pos, neg
 
 
+def format_vector_loop(labels, v):
+    """Oracle: the signed sum of labelled coordinates, signs written one
+    term at a time, as ``format_vector`` printed it before it called the
+    series printer."""
+    parts = []
+    for c, name in zip(v, labels):
+        if not c:
+            continue
+        if c == 1:
+            parts.append(f"+ {name}")
+        elif c == -1:
+            parts.append(f"- {name}")
+        elif c > 0:
+            parts.append(f"+ {c}*{name}")
+        else:
+            parts.append(f"- {-c}*{name}")
+    if not parts:
+        return "0"
+    out = " ".join(parts)
+    return out[2:] if out.startswith("+ ") else "-" + out[2:]
+
+
 def random_symmetric(seed, count, max_rank=7):
     """Seeded symmetric integer forms of rank 0..max_rank; each entry on or
     above the diagonal is 0 with probability 0.6, else in -2..2, so zero
@@ -315,6 +337,36 @@ class TestValidation(object):
         v = lat.gamma19_named_vectors()
         s = g.format_vector(v["B"])
         assert "e9" in s
+
+    def test_format_vector_matches_loop_on_exceptional_classes(self):
+        for k in range(9):
+            dp = lat.make_del_pezzo(k)
+            for c in lat.exceptional_classes(k, 7):
+                want = format_vector_loop(dp.basis_labels, c)
+                assert dp.format_vector(c) == want
+
+    def test_format_vector_matches_loop_on_random_vectors(self, g19):
+        rng = random.Random(23)
+        for _ in range(2000):
+            v = [rng.randint(-3, 3) for _ in range(10)]
+            assert g19.format_vector(v) == format_vector_loop(
+                g19.basis_labels, v)
+        assert g19.format_vector([0] * 10) == "0"
+        assert g19.format_vector([0] * 9 + [-2]) == "-2*e9"
+        assert g19.format_vector([3] + [0] * 8 + [-1]) == "3*e0 - e9"
+
+    def test_format_vector_keeps_caller_labels(self):
+        # labels are caller strings: signs must not be found by searching
+        labels = ("a + -b", "-x", "- y", "2*z")
+        square = lat.SurfaceLattice(
+            rank=4, gram=tuple(tuple(int(i == j) for j in range(4))
+                               for i in range(4)),
+            basis_labels=labels)
+        rng = random.Random(29)
+        for _ in range(300):
+            v = [rng.randint(-3, 3) for _ in range(4)]
+            assert square.format_vector(v) == format_vector_loop(labels, v)
+        assert square.format_vector((1, -1, 0, 0)) == "a + -b - -x"
 
     def test_json_dict(self):
         g = lat.make_gamma19()

@@ -130,6 +130,13 @@ class TestEisenstein:
             for k in (1, 3, 5):
                 assert mf.divisor_sigma(n, k) == brute_sigma(n, k)
 
+    def test_divisor_sigma_negative_power_rejected(self):
+        # d**k is a float for k < 0, and no float may reach a result
+        assert mf.divisor_sigma(6, 0) == 4
+        for k in (-1, -3):
+            with pytest.raises(ValueError):
+                mf.divisor_sigma(6, k)
+
     def test_leading_coefficients(self):
         assert [int(c) for c in mf.eisenstein(2, 3).coefficients()] == \
             [1, -24, -72, -96]

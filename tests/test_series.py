@@ -21,6 +21,7 @@ from enumgeo.series import (
     product_family,
     _euler_product,
     _pack,
+    _poly_str,
     _unpack,
 )
 
@@ -33,6 +34,22 @@ def rand_series(rng, order, shift=Fraction(0), var="q", unit=False,
         while cs[0] == 0:
             cs[0] = Fraction(rng.randint(-scale, scale), rng.randint(1, 4))
     return QSeries(cs, var=var, shift=shift, order=order)
+
+
+def poly_str_replace(coeffs, var):
+    """Oracle: the nonzero terms joined by " + ", then every "+ -" turned
+    into "- ", as the series printer worked before it wrote signs itself."""
+    def term(k, c):
+        if k == 0:
+            return str(c)
+        v = var if k == 1 else f"{var}^{k}"
+        if c == 1:
+            return v
+        if c == -1:
+            return f"-{v}"
+        return f"{c}*{v}"
+    terms = [term(k, c) for k, c in enumerate(coeffs) if c]
+    return " + ".join(terms).replace("+ -", "- ") if terms else "0"
 
 
 def binomial_product(exponent, order):
@@ -294,6 +311,19 @@ class TestRingAxioms:
         assert QSeries([1], var="q") != QSeries([1], var="v")
 
 
+class TestPrinter:
+    def test_poly_str_matches_replace_oracle(self):
+        rng = random.Random(41)
+        for _ in range(3000):
+            cs = [Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 7)))
+                  if rng.random() < 0.6 else Fraction(0)
+                  for _ in range(rng.randint(1, 9))]
+            var = rng.choice(("q", "t", "x1"))
+            assert _poly_str(cs, var) == poly_str_replace(cs, var)
+            ints = [int(c) for c in cs]
+            assert _poly_str(ints, var) == poly_str_replace(ints, var)
+
+
 class TestKaratsuba:
     def test_matches_schoolbook_above_threshold(self):
         rng = random.Random(77)
@@ -507,6 +537,7 @@ class TestSerialization:
         g = QSeries([-1, 1, Fraction(1, 3)], shift=Fraction(1, 24))
         assert str(g) == "q^(1/24)*(-1 + q + 1/3*q^2 + O(q^3))"
         assert str(QSeries([0, -1], shift=-1)) == "q^(-1)*(-q + O(q^2))"
+        assert str(QSeries([-1, Fraction(-3, 2)])) == "-1 - 3/2*q + O(q^2)"
 
     def test_absorb_shift(self):
         f = QSeries([1, 24], shift=1, order=1)
