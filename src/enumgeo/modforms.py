@@ -3,7 +3,10 @@
 Eisenstein series E2, E4, E6, eta quotients carrying their fractional
 q-power in the series shift, the E8 theta series (by lattice point counts
 or via E4), and exact linear fitting of quasi-homogeneous E2/E4/E6
-polynomials against prescribed series coefficients.
+polynomials against prescribed series coefficients.  Every series in a fit
+has integer coefficients, so the fit builds its columns as integer lists,
+one packed product (``series._product``) each, and hands integer rows to
+``solve_exact``.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from functools import lru_cache, reduce
 from typing import Sequence
 
 from . import lattice as _lattice
-from .series import QSeries, _as_fraction, _scaled, product_family
+from .series import (QSeries, _as_fraction, _euler_product, _product,
+                     _scaled, product_family)
 
 #: weight -> (prefactor of the divisor sum, divisor power)
 _EISENSTEIN = {2: (-24, 1), 4: (240, 3), 6: (-504, 5)}
@@ -44,15 +48,18 @@ def divisor_sigma(n: int, k: int) -> int:
     return total
 
 
+def _eisenstein_ints(weight: int, order: int) -> list:
+    """The coefficients 1, c*sigma_k(1), ..., c*sigma_k(order) of E_weight."""
+    c, k = _EISENSTEIN[weight]
+    return [1] + [c * divisor_sigma(n, k) for n in range(1, order + 1)]
+
+
 def eisenstein(weight: int, order: int) -> QSeries:
     """E_weight as a q-expansion; only weights 2, 4, 6 are constructible."""
     if weight not in _EISENSTEIN:
         raise OddOrNonpositiveWeight(
             f"Eisenstein weight must be 2, 4 or 6, got {weight}")
-    c, k = _EISENSTEIN[weight]
-    coeffs = [Fraction(1)] + [Fraction(c * divisor_sigma(n, k))
-                              for n in range(1, order + 1)]
-    return QSeries(coeffs, order=order)
+    return QSeries(_eisenstein_ints(weight, order), order=order)
 
 
 def eta_quotient(exponent: int, order: int) -> QSeries:
@@ -179,7 +186,9 @@ def solve_exact(rows: Sequence, rhs: Sequence) -> tuple:
     if m != len(rhs):
         raise ValueError("one right-hand side per row required")
     n = len(rows[0]) if m else 0
-    aug = [[_as_fraction(x) for x in (*row, b)] for row, b in zip(rows, rhs)]
+    # an int passes as it is: _scaled reads only numerator and denominator
+    aug = [[x if type(x) is int else _as_fraction(x) for x in (*row, b)]
+           for row, b in zip(rows, rhs)]
     if any(len(row) != n + 1 for row in aug):
         raise ValueError("ragged coefficient matrix")
     aug = [_scaled(row)[0] for row in aug]
@@ -193,11 +202,12 @@ def solve_exact(rows: Sequence, rhs: Sequence) -> tuple:
         if p is None:
             continue
         aug[r], aug[p] = aug[p], aug[r]
-        piv = aug[r][c]
-        for i in range(r + 1, m):
-            head = aug[i][c]
-            aug[i] = [(piv * aug[i][k] - head * aug[r][k]) // prev
-                      for k in range(n + 1)]
+        piv, pivot_row = aug[r][c], aug[r][c:]
+        # rows below r are already zero left of column c
+        for row in aug[r + 1:]:
+            head = row[c]
+            row[c:] = [(piv * a - head * b) // prev
+                       for a, b in zip(row[c:], pivot_row)]
         prev = piv
         pivots.append(c)
         r += 1
@@ -224,15 +234,41 @@ def solve_exact(rows: Sequence, rhs: Sequence) -> tuple:
     return consistent, particular, tuple(solutions)
 
 
+def _fit_columns(monomials: Sequence, eta_exponent: int,
+                 order: int) -> list:
+    """Coefficients 0..order of E2^i E4^j E6^k * prod(1-q**m)**eta_exponent
+    for each (i, j, k), as integer lists, one packed product per column.
+
+    T(j, k) = eta * E4^j * E6^k comes from T(j-1, k) or T(0, k-1); the
+    pairs (j, k) of a weight basis are closed under both steps.  E2^i
+    comes from one chain of powers, and the column is E2^i * T(j, k).
+    """
+    e2, e4, e6 = (_eisenstein_ints(w, order) for w in (2, 4, 6))
+    tails = {(0, 0): _euler_product(
+        [(m, 1, eta_exponent) for m in range(1, order + 1)], order)}
+    for j, k in sorted({(j, k) for _, j, k in monomials} - {(0, 0)},
+                       key=lambda jk: jk[::-1]):
+        tails[j, k] = (_product(tails[j - 1, k], e4) if j
+                       else _product(tails[0, k - 1], e6))
+    e2_powers = [None, e2]
+    for _ in range(2, max(i for i, _, _ in monomials) + 1):
+        e2_powers.append(_product(e2_powers[-1], e2))
+    return [_product(e2_powers[i], tails[j, k]) if i else tails[j, k]
+            for i, j, k in monomials]
+
+
 def fit_quasi_homogeneous(weight: int, eta_exponent: int,
                           targets: Sequence) -> FitResult:
     """Match sum_m c_m * (E2^i E4^j E6^k) * prod(1-q**n)**eta_exponent
     against prescribed coefficients.
 
     ``targets`` is a sequence of (q_exponent, value) pairs indexing the
-    coefficient array of the shift-stripped product.  The linear system is
-    solved exactly; inconsistency is reported in the result, not raised.
+    coefficient array of the shift-stripped product.  Every column has
+    integer coefficients, built with one packed product each, so the rows
+    reach ``solve_exact`` as integers and the linear system is solved
+    exactly; inconsistency is reported in the result, not raised.
     """
+    eta_exponent = operator.index(eta_exponent)
     targets = list(targets)
     if not targets:
         raise ValueError("at least one target coefficient required")
@@ -240,11 +276,8 @@ def fit_quasi_homogeneous(weight: int, eta_exponent: int,
     if any(e < 0 for e in exps):
         raise ValueError("target exponents must be >= 0")
     basis = weight_monomials(weight)
-    order = max(exps)
-    eta_part = product_family(lambda m: eta_exponent, order)
-    columns = [monomial_series(mono, order) * eta_part
-               for mono in basis.monomials]
-    rows = [[col.coefficient(e) for col in columns] for e in exps]
+    columns = _fit_columns(basis.monomials, eta_exponent, max(exps))
+    rows = [[col[e] for col in columns] for e in exps]
     rhs = [v for _, v in targets]
     consistent, particular, nullspace = solve_exact(rows, rhs)
     return FitResult(basis=basis, eta_exponent=eta_exponent,

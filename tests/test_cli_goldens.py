@@ -1,5 +1,7 @@
 """CLI output byte for byte: replay the ``cli-fresh`` requests of the
 benchmark's golden file and compare digests of exit code, stdout and stderr.
+The ``highorder`` fits are replayed the same way, against the digest of
+their ``to_json_dict()``.
 
 ``geobench/goldens.json`` maps each request ``"cli <argv>"`` to the sha256
 of its canonical JSON outcome, or to ``"exit2"`` for a malformed request.
@@ -11,20 +13,31 @@ writes.
 
 import hashlib
 import json
+import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from enumgeo import cli
+from enumgeo import modforms as mf
 
 GOLDENS = Path(__file__).resolve().parents[1] / "geobench" / "goldens.json"
 SKIPPED = ("verify all", "theta", "enumerate", "@")
 
 
-def replayed():
+def goldens(workload):
     with GOLDENS.open(encoding="utf-8") as fh:
-        goldens = json.load(fh)["cli-fresh"]
-    return {key: want for key, want in goldens.items()
+        return json.load(fh)[workload]
+
+
+def digest(value):
+    text = json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def replayed():
+    return {key: want for key, want in goldens("cli-fresh").items()
             if not any(word in key for word in SKIPPED)}
 
 
@@ -55,10 +68,33 @@ def test_outputs_match_golden_digests(capsys, no_env_order):
     for key, want in replayed().items():
         if want == "exit2":
             continue
-        got = outcome(capsys, key.split()[1:])
-        text = json.dumps(got, sort_keys=True, separators=(",", ":"))
-        if hashlib.sha256(text.encode()).hexdigest() != want:
+        if digest(outcome(capsys, key.split()[1:])) != want:
             mismatched.append(key)
+    assert mismatched == []
+
+
+def fit_targets(weight, variant):
+    """One target per monomial: (k, (k+1)^2), or (k, (-1)^k (2k+1)/(k+2))."""
+    count = len(mf.weight_monomials(weight))
+    if variant == 0:
+        return [(k, Fraction((k + 1) ** 2)) for k in range(count)]
+    return [(k, Fraction((-1) ** k * (2 * k + 1), k + 2)) for k in range(count)]
+
+
+def test_fits_match_golden_digests():
+    fits = {}
+    for key, want in goldens("highorder").items():
+        match = re.fullmatch(r"fit_quasi_homogeneous\((\d+), (-?\d+), (\d)\)",
+                             key)
+        if match:
+            fits[tuple(map(int, match.groups()))] = want
+    assert len(fits) == 60
+    mismatched = []
+    for (weight, eta, variant), want in fits.items():
+        fit = mf.fit_quasi_homogeneous(weight, eta,
+                                       fit_targets(weight, variant))
+        if digest(fit.to_json_dict()) != want:
+            mismatched.append((weight, eta, variant))
     assert mismatched == []
 
 

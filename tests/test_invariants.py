@@ -560,6 +560,8 @@ class TestExactInputs(object):
         lambda: inv.ChernVector(2, 1, Fraction(0), 1, 1),
         lambda: inv.SWDecomposition(a1_h=1, a2_h=4, sw_a1=1.5, a_value=1),
         lambda: mf.fit_quasi_homogeneous(4, 0, [(0.9, 1)]),
+        # at order 0 no eta factor is built, so only the entry check sees it
+        lambda: mf.fit_quasi_homogeneous(4, 1.5, [(0, 1)]),
         lambda: QSeries.from_json_dict(
             {"var": "q", "shift": ["0", "1"], "order": 0,
              "coeffs": [[1.5, 1]]}),
@@ -582,7 +584,8 @@ class TestExactInputs(object):
             "SurfaceData.chi_top", "SurfaceData.chi_O", "SurfaceData.p_g",
             "BiSeries", "gromov_conditions", "ChernVector.r",
             "ChernVector.a_K", "SWDecomposition.sw_a1",
-            "fit_quasi_homogeneous.exponent", "QSeries.from_json_dict.coeffs",
+            "fit_quasi_homogeneous.exponent",
+            "fit_quasi_homogeneous.eta_exponent", "QSeries.from_json_dict.coeffs",
             "QSeries.from_json_dict.shift", "BiSeries.from_json_dict",
             "sw_p2.half", "sw_p2.float", "divisor_sigma.k", "divisor_sigma.n",
             "exceptional_classes.k", "exceptional_classes.degree_bound",

@@ -76,8 +76,10 @@ _DENOMINATORS = (1, 1, 1, 2, 3, 7, 12, 10 ** 12 + 39)
 
 
 def random_systems(seed, count):
-    """Systems of 0-8 rows and 1-8 columns with zero rows, rows dependent
-    on earlier ones, and right-hand sides that break that dependence."""
+    """Systems of 0-8 rows and 1-9 columns with zero rows, rows dependent
+    on earlier ones, right-hand sides that break that dependence, and
+    columns that are zero or a multiple of an earlier column, placed
+    before columns that take a pivot."""
     rng = random.Random(seed)
 
     def entry():
@@ -103,25 +105,57 @@ def random_systems(seed, count):
                 row, b = [entry() for _ in range(n)], entry()
             rows.append(row)
             rhs.append(b)
+        if rng.random() < 0.4:
+            # elimination finds no pivot in the new column and skips it
+            at = rng.randrange(n)
+            if at and rng.random() < 0.5:
+                j, factor = rng.randrange(at), entry()
+                for row in rows:
+                    row.insert(at, factor * row[j])
+            else:
+                for row in rows:
+                    row.insert(at, 0)
         yield rows, rhs
 
 
-def fit_system(weight, eta_exponent, variant):
-    """The rows and right-hand sides fit_quasi_homogeneous solves for one
-    target per monomial."""
-    basis = mf.weight_monomials(weight)
-    count = len(basis)
+def fit_targets(weight, variant):
+    """One target per monomial: (k, (k+1)^2), or (k, (-1)^k (2k+1)/(k+2))."""
+    count = len(mf.weight_monomials(weight))
     if variant == 0:
-        targets = [(k, Fraction((k + 1) ** 2)) for k in range(count)]
-    else:
-        targets = [(k, Fraction((-1) ** k * (2 * k + 1), k + 2))
-                   for k in range(count)]
-    order = count - 1
+        return [(k, Fraction((k + 1) ** 2)) for k in range(count)]
+    return [(k, Fraction((-1) ** k * (2 * k + 1), k + 2)) for k in range(count)]
+
+
+def oracle_columns(weight, eta_exponent, order):
+    """The fit's columns as QSeries: E2^i E4^j E6^k from powers of the
+    Eisenstein series, times the eta product."""
     eta = product_family(lambda m: eta_exponent, order)
-    columns = [mf.monomial_series(mono, order) * eta
-               for mono in basis.monomials]
+    columns = []
+    for mono in mf.weight_monomials(weight).monomials:
+        col = eta
+        for w, e in zip((2, 4, 6), mono):
+            col = col * mf.eisenstein(w, order) ** e
+        columns.append(col)
+    return columns
+
+
+def fit_system(columns, targets):
+    """The rows and right-hand sides fit_quasi_homogeneous solves, read
+    off the QSeries columns."""
     rows = [[col.coefficient(e) for col in columns] for e, _ in targets]
     return rows, [v for _, v in targets]
+
+
+def fit_oracle(weight, eta_exponent, targets):
+    """(consistent, particular, nullspace) of the fit, from the QSeries
+    columns and the Fraction solver."""
+    columns = oracle_columns(weight, eta_exponent, max(e for e, _ in targets))
+    return solve_fraction(*fit_system(columns, targets))
+
+
+def fit_triple(weight, eta_exponent, targets):
+    fit = mf.fit_quasi_homogeneous(weight, eta_exponent, targets)
+    return fit.consistent, fit.particular, fit.nullspace
 
 
 class TestEisenstein:
@@ -284,7 +318,10 @@ class TestSolveExact:
     def test_fit_systems_match_fraction_oracle(self, eta_exponent):
         for weight in range(12, 31, 2):
             for variant in (0, 1):
-                rows, rhs = fit_system(weight, eta_exponent, variant)
+                targets = fit_targets(weight, variant)
+                rows, rhs = fit_system(
+                    oracle_columns(weight, eta_exponent, len(targets) - 1),
+                    targets)
                 assert mf.solve_exact(rows, rhs) == solve_fraction(rows, rhs)
 
     def test_zero_row(self):
@@ -297,6 +334,51 @@ class TestSolveExact:
 
 
 class TestFit:
+    @pytest.mark.parametrize("eta_exponent", [-24, -12, -1, 0, 8, 24])
+    def test_matches_qseries_oracle(self, eta_exponent):
+        for weight in range(2, 31, 2):
+            for variant in (0, 1):
+                targets = fit_targets(weight, variant)
+                assert fit_triple(weight, eta_exponent, targets) == \
+                    fit_oracle(weight, eta_exponent, targets)
+
+    def test_matches_qseries_oracle_on_random_targets(self):
+        # unsorted, repeated and gapped exponents; half of the sets take
+        # their values from a combination of the columns, so that long
+        # sets are consistent too
+        rng = random.Random(1010)
+        kinds = set()
+        for _ in range(60):
+            weight = rng.randrange(2, 31, 2)
+            eta = rng.choice((-24, -12, -1, 0, 8, 24))
+            exps = [rng.randint(0, 30) for _ in range(rng.randint(1, 14))]
+            columns = oracle_columns(weight, eta, max(exps))
+            if rng.random() < 0.5:
+                coefs = [rng.randint(-3, 3) for _ in columns]
+                values = [sum(c * col.coefficient(e)
+                              for c, col in zip(coefs, columns))
+                          for e in exps]
+            else:
+                values = [Fraction(rng.randint(-50, 50), rng.randint(1, 6))
+                          for _ in exps]
+            targets = list(zip(exps, values))
+            got = fit_triple(weight, eta, targets)
+            assert got == solve_fraction(*fit_system(columns, targets))
+            kinds.add((got[0], len(got[2]) > 0,
+                       len(set(exps)) < len(exps)))
+        # consistent and inconsistent sets, with and without a nullspace,
+        # occur, and repeated exponents occur in both kinds of set
+        assert {kind[:2] for kind in kinds} == {
+            (True, True), (True, False), (False, True), (False, False)}
+        assert {kind[0] for kind in kinds if kind[2]} == {True, False}
+
+    def test_single_target_at_exponent_0(self):
+        for weight in range(2, 31, 2):
+            for eta in (-24, 0, 8):
+                targets = [(0, Fraction(-7, 3))]
+                assert fit_triple(weight, eta, targets) == \
+                    fit_oracle(weight, eta, targets)
+
     def test_e4_is_a_weight4_monomial(self):
         e4 = mf.eisenstein(4, 6)
         fit = mf.fit_quasi_homogeneous(
