@@ -1,12 +1,14 @@
 """Exact short-vector enumeration for positive-definite integer lattices.
 
-G = L D L^T is read off ``pivot_rows``, the integer elimination that the
-signature also runs, and Q(x) = sum_i d_i (x_i + sum_{j>i} L_ji x_j)^2.
-All data is then rescaled to integers: with M_i the lcm of the denominators
-in row i of L and LAM a global lcm, each level carries an integer weight
-ehat_i = LAM*d_i/M_i**2 and the remaining budget stays an exact integer
-throughout the depth-first scan.  No floating point anywhere, so counts are
-exact for any norm bound.
+``pivot_rows``, the integer elimination that the signature also runs, gives
+the pivots p_i, with p_(-1) = 1, and the pivot rows a_ij, j > i, and
+
+    Q(x) = sum_i t_i**2 / (p_(i-1)*p_i),  t_i = p_i*x_i + sum_{j>i} a_ij*x_j.
+
+With LAM the lcm of the p_(i-1)*p_i, level i carries the integer weight
+w_i = LAM/(p_(i-1)*p_i), so LAM*Q(x) = sum_i w_i*t_i**2 and the remaining
+budget stays an exact integer throughout the depth-first scan.  No floating
+point anywhere, so counts are exact for any norm bound.
 
 The scan is a half-space scan: Q(x) = Q(-x), so it visits only the zero
 vector and the vectors whose highest-index nonzero coordinate is positive,
@@ -17,7 +19,7 @@ the enumeration).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 
 
 class NotPositiveDefinite(ValueError):
@@ -63,44 +65,29 @@ def pivot_rows(gram) -> list:
     return a
 
 
-def prepare(gram) -> dict:
-    """Scaled-integer LDL^T data for the depth-first scan.
+def count_by_norm(gram, norm_max: int) -> list:
+    """Counts[n] of lattice vectors with Q(x) = n, for 0 <= n <= norm_max.
 
-    Returns a dict with keys rank, lm (integer rows, lm[i][j] = M_i*L_ji for
-    j > i), m (row denominators), ehat (level weights), lam (global scale):
-    M_i = p_i/g_i and M_i*L_ji = row_i[j]/g_i, with g_i the gcd of pivot
-    row i from column i on.  Raises NotPositiveDefinite at a pivot p_i <= 0.
+    Raises NotPositiveDefinite at the first pivot p_i <= 0, whatever
+    norm_max is.  Level i steps x_i, so t_i moves by p_i, and spends
+    w_i*t_i**2 of the budget LAM*norm_max.  A ``lead`` flag marks the
+    levels above which every coordinate is 0: there the offset
+    sum_{j>i} a_ij*x_j is 0 and only x_i >= 0 is scanned.  The innermost
+    level steps t_0 directly.
     """
-    m, lm, scaled = [], [], []
-    prev = 1
-    for i, row in enumerate(pivot_rows(gram)):
+    rows = pivot_rows(gram)
+    rank = len(rows)
+    prev, dens = 1, []
+    for i, row in enumerate(rows):
         p = row[i]
         if p <= 0:
             raise NotPositiveDefinite(
                 f"pivot {i} is {Fraction(p, prev)}; "
                 "the form has a non-positive direction")
-        g = gcd(*row[i:])
-        m.append(p // g)
-        lm.append([0] * (i + 1) + [x // g for x in row[i + 1:]])
-        scaled.append(Fraction(p, prev * m[i] * m[i]))
+        dens.append(prev * p)
         prev = p
-    lam = lcm(*(s.denominator for s in scaled))
-    ehat = [int(s * lam) for s in scaled]
-    return {"rank": len(gram), "lm": lm, "m": m, "ehat": ehat, "lam": lam}
-
-
-def count_by_norm(data: dict, norm_max: int) -> list:
-    """Counts[n] of lattice vectors with Q(x) = n, for 0 <= n <= norm_max.
-
-    Since Q(x) = Q(-x), the scan visits only the zero vector and the vectors
-    whose highest-index nonzero coordinate is positive, and counts each of
-    the latter twice (once for x, once for -x).  A ``lead`` flag marks the
-    levels above which every coordinate is 0: there the offset is 0 and
-    only x_i >= 0 is scanned.  The innermost level steps t = M_0 x_0 + C_0
-    directly.
-    """
-    rank = data["rank"]
-    lm, m, ehat, lam = data["lm"], data["m"], data["ehat"], data["lam"]
+    lam = lcm(*dens)
+    weights = [lam // d for d in dens]
     counts = [0] * (norm_max + 1)
     if norm_max < 0:
         return counts
@@ -111,28 +98,27 @@ def count_by_norm(data: dict, norm_max: int) -> list:
     xs = [0] * rank
 
     def descend(i: int, budget: int, lead: bool) -> None:
-        chat = 0
+        row = rows[i]
+        c = 0
         if not lead:
-            row = lm[i]
             for j in range(i + 1, rank):
                 if xs[j]:
-                    chat += row[j] * xs[j]
-        s = isqrt(budget // ehat[i])
-        mi = m[i]
-        lo = 0 if lead else -((s + chat) // mi)
-        hi = (s - chat) // mi
-        ei = ehat[i]
+                    c += row[j] * xs[j]
+        p, w = row[i], weights[i]
+        s = isqrt(budget // w)
+        lo = 0 if lead else -((s + c) // p)
+        hi = (s - c) // p
         if i == 0:
             base = budget0 - budget
-            for t in range(mi * lo + chat, mi * hi + chat + 1, mi):
-                counts[(base + ei * t * t) // lam] += 2
+            for t in range(p * lo + c, p * hi + c + 1, p):
+                counts[(base + w * t * t) // lam] += 2
             if lead:
                 counts[0] -= 1      # the zero vector is its own negative
         else:
             for x in range(lo, hi + 1):
                 xs[i] = x
-                t = mi * x + chat
-                descend(i - 1, budget - ei * t * t, lead and not x)
+                t = p * x + c
+                descend(i - 1, budget - w * t * t, lead and not x)
             xs[i] = 0
 
     descend(rank - 1, budget0, True)

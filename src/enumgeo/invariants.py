@@ -101,6 +101,8 @@ class BiSeries:
                 raise ValueError("empty coefficient list and no order given")
             order = len(polys) - 1
         order = operator.index(order)
+        if order < 0:
+            raise ValueError(f"order must be >= 0, got {order}")
         if len(polys) > order + 1:
             raise ValueError(f"{len(polys)} polynomials exceed order {order}")
         polys.extend([(0,)] * (order + 1 - len(polys)))

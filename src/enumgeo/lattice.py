@@ -74,8 +74,7 @@ class SurfaceLattice:
             k = self._check_vector(self.canonical)
             object.__setattr__(self, "canonical", k)
             for i in range(self.rank):
-                basis = tuple(1 if j == i else 0 for j in range(self.rank))
-                if (self.pair(basis, basis) + self.pair(k, basis)) % 2:
+                if (g[i][i] + sum(kj * row[i] for kj, row in zip(k, g))) % 2:
                     raise ParityViolation(
                         f"canonical class is not characteristic on "
                         f"{self.basis_labels[i]}")
@@ -215,7 +214,7 @@ def enumerate_vectors(lattice: SurfaceLattice, norm_max: int) -> dict:
     """
     if norm_max < 0:
         raise ValueError("norm_max must be >= 0")
-    counts = _shortvec.count_by_norm(_shortvec.prepare(lattice.gram), norm_max)
+    counts = _shortvec.count_by_norm(lattice.gram, norm_max)
     return {n: counts[n] for n in range(norm_max + 1)}
 
 

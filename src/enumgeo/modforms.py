@@ -56,7 +56,8 @@ def _eisenstein_ints(weight: int, order: int) -> list:
 
 def eisenstein(weight: int, order: int) -> QSeries:
     """E_weight as a q-expansion; only weights 2, 4, 6 are constructible."""
-    if weight not in _EISENSTEIN:
+    # 4.0 == 4 would find E4 in the table, so floats are refused first
+    if operator.index(weight) not in _EISENSTEIN:
         raise OddOrNonpositiveWeight(
             f"Eisenstein weight must be 2, 4 or 6, got {weight}")
     return QSeries(_eisenstein_ints(weight, order), order=order)

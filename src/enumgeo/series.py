@@ -198,6 +198,7 @@ class QSeries:
             if not cs:
                 raise SeriesError("empty coefficient list and no order given")
             order = len(cs) - 1
+        order = index(order)
         if order < 0:
             raise SeriesError(f"order must be >= 0, got {order}")
         if len(cs) > order + 1:

@@ -1,6 +1,7 @@
-"""Short-vector scan tests: ``prepare`` and the half-space scan against
-their Fraction-LDL^T and full-scan oracles, exact counts on huge entries,
-and the public entry point."""
+"""Short-vector scan tests: the half-space scan over the pivots against a
+full scan over the data of a Fraction LDL^T, the rejection of forms that
+are not positive definite, exact counts on huge entries, and the public
+entry point."""
 
 import random
 from fractions import Fraction
@@ -92,77 +93,77 @@ def random_forms(seed, count, max_rank=6):
         gram = tuple(tuple(sum(b[r][i] * b[r][j] for r in range(n))
                            + (rng.randint(0, 1) if i == j else 0)
                            for j in range(n)) for i in range(n))
-        forms.append((gram, pure.prepare(gram)))
+        forms.append(gram)
     return forms
 
 
 class TestPureKernel(object):
-    def test_prepare_rejects_indefinite(self):
+    def test_rejects_indefinite(self):
         # the hyperbolic plane has nonzero pivots only after the repair
-        # b_0 += b_1, and must still be rejected
+        # b_0 += b_1, and must still be rejected; the check comes before
+        # the early return on a negative bound
         for gram in (((1, 0), (0, -1)), ((0,),), ((0, 1), (1, 0)),
                      ((1, 1), (1, 1))):
-            with pytest.raises(pure.NotPositiveDefinite):
-                pure.prepare(gram)
+            for norm_max in (-1, 0, 4):
+                with pytest.raises(pure.NotPositiveDefinite):
+                    pure.count_by_norm(gram, norm_max)
 
-    def test_prepare_matches_fraction_oracle(self):
-        forms = random_forms(3, 945, max_rank=8)
-        assert {len(gram) for gram, _ in forms} == set(range(9))
-        for gram, data in forms:
-            assert data == prepare_fraction(gram), gram
-
-    def test_prepare_rejects_like_fraction_oracle(self):
+    def test_rejects_like_fraction_oracle(self):
         # shifted diagonals make many forms indefinite or degenerate; the
         # message matches unless the oracle stops at a zero pivot, which the
         # elimination repairs before it finds a non-positive one
         rng = random.Random(4)
         rejected = 0
-        for gram, _ in random_forms(4, 600, max_rank=8):
+        for k, gram in enumerate(random_forms(4, 600, max_rank=8)):
             shifted = tuple(tuple(x - (rng.randint(0, 3) if i == j else 0)
                                   for j, x in enumerate(row))
                             for i, row in enumerate(gram))
+            norm_max = k % 6 - 1
             try:
                 expected = prepare_fraction(shifted)
             except pure.NotPositiveDefinite as exc:
                 rejected += 1
                 with pytest.raises(pure.NotPositiveDefinite) as got:
-                    pure.prepare(shifted)
+                    pure.count_by_norm(shifted, norm_max)
                 if " is 0;" not in str(exc):
                     assert str(got.value) == str(exc), shifted
                 continue
-            assert pure.prepare(shifted) == expected, shifted
+            assert pure.count_by_norm(shifted, norm_max) == \
+                count_full(expected, norm_max), shifted
         assert 100 < rejected < 500
 
     def test_identity_rank3(self):
-        data = pure.prepare(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-        counts = pure.count_by_norm(data, 9)
+        counts = pure.count_by_norm(((1, 0, 0), (0, 1, 0), (0, 0, 1)), 9)
         # sums of three squares, norms 0..9
         assert counts == [1, 6, 12, 8, 6, 24, 24, 0, 12, 30]
 
     def test_huge_entries_stay_exact(self):
         # 2*10^19 does not fit in 64 bits; Python integers keep it exact
         for big in (2 * 10 ** 18, 2 * 10 ** 19):
-            data = pure.prepare(((big,),))
-            assert pure.count_by_norm(data, 10) == [1] + [0] * 10
+            assert pure.count_by_norm(((big,),), 10) == [1] + [0] * 10
 
 
 class TestHalfSpaceScan(object):
-    """The half-space scan against the full scan it replaced."""
+    """The half-space scan against the full scan over the oracle's data."""
 
     def test_matches_full_scan_on_random_forms(self):
-        forms = random_forms(1, 420)
-        assert any(max(data["m"], default=1) > 1 for _, data in forms)
-        for k, (gram, data) in enumerate(forms):
+        forms = random_forms(3, 945, max_rank=8)
+        assert {len(gram) for gram in forms} == set(range(9))
+        steps = set()
+        for k, gram in enumerate(forms):
+            data = prepare_fraction(gram)
+            steps.update(data["m"])
             norm_max = k % 12 - 1
-            assert pure.count_by_norm(data, norm_max) == \
+            assert pure.count_by_norm(gram, norm_max) == \
                 count_full(data, norm_max), (gram, norm_max)
+        assert max(steps) > 1
 
     def test_e8_theta_coefficients(self):
-        data = pure.prepare(lat.e8_lattice().gram)
+        gram = lat.e8_lattice().gram
         expected = [1] + [0 if n % 2 else 240 * divisor_sigma(n // 2, 3)
                           for n in range(1, 23)]
         for norm_max in (0, 1, 2, 9, 22):
-            assert pure.count_by_norm(data, norm_max) == \
+            assert pure.count_by_norm(gram, norm_max) == \
                 expected[:norm_max + 1]
 
 

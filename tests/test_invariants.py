@@ -137,6 +137,13 @@ class TestBiSeries(object):
         with pytest.raises(ValueError):
             inv.BiSeries([(1,), (0, 0, 0, 0, 0, 1)], order=1)
 
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError):
+            inv.BiSeries([], order=-1)
+        with pytest.raises(ValueError):
+            inv.BiSeries.from_json_dict(
+                {"coeffs": [], "order": -1, "var_q": "q", "var_t": "t"})
+
     def test_mul_against_hand_product(self):
         a = inv.BiSeries([(1,), (1, 1)], order=2)   # 1 + (1+t) q
         b = inv.BiSeries([(2,), (0, 3)], order=2)   # 2 + 3t q
@@ -580,6 +587,9 @@ class TestExactInputs(object):
         lambda: (lat.exceptional_classes(2, 6),
                  lat.exceptional_classes(2, 6.0)),
         lambda: inv.bryan_leung_series(0.0, 3),
+        # 4.0 == 4, so a table lookup alone would build E4
+        lambda: mf.eisenstein(4.0, 5),
+        lambda: QSeries([1, 2], order=2.0),
     ], ids=["SurfaceLattice.gram", "adjunction_genus", "SurfaceData.betti",
             "SurfaceData.chi_top", "SurfaceData.chi_O", "SurfaceData.p_g",
             "BiSeries", "gromov_conditions", "ChernVector.r",
@@ -589,7 +599,7 @@ class TestExactInputs(object):
             "QSeries.from_json_dict.shift", "BiSeries.from_json_dict",
             "sw_p2.half", "sw_p2.float", "divisor_sigma.k", "divisor_sigma.n",
             "exceptional_classes.k", "exceptional_classes.degree_bound",
-            "bryan_leung_series.genus"])
+            "bryan_leung_series.genus", "eisenstein.weight", "QSeries.order"])
     def test_non_integer_rejected(self, call):
         # int() would truncate 2.9 to 2; an integer field takes only ints
         with pytest.raises(TypeError):

@@ -127,6 +127,12 @@ class TestConstruction:
         with pytest.raises(TypeError):
             QSeries([0.5])
 
+    def test_order_is_an_int(self):
+        # True is an int subclass; it must not reach to_json_dict as true
+        for f in (QSeries([1, 2], order=True), QSeries([1, 2]).truncate(True)):
+            assert type(f.order) is int and f.order == 1
+            assert json.dumps(f.to_json_dict()["order"]) == "1"
+
     def test_coefficient_bounds(self):
         f = QSeries([1, 2, 3])
         assert f.coefficient(2) == 3
@@ -324,7 +330,10 @@ class TestPrinter:
             assert _poly_str(ints, var) == poly_str_replace(ints, var)
 
 
-class TestKaratsuba:
+class TestPackedProduct:
+    """The packed (Kronecker) product against the schoolbook loop, and the
+    pack/unpack helpers it runs on."""
+
     def test_matches_schoolbook_above_threshold(self):
         rng = random.Random(77)
         n = 540
@@ -402,7 +411,7 @@ class TestKaratsuba:
                 _unpack(value, 1, 2)
 
 
-class TestNewton:
+class TestForwardSubstitution:
     """The forward-substitution kernels of ``/``, ``invert``, ``log`` and
     ``exp`` against the Fraction-loop oracles."""
 
