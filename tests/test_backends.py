@@ -108,6 +108,20 @@ class TestPureKernel(object):
                 with pytest.raises(pure.NotPositiveDefinite):
                     pure.count_by_norm(gram, norm_max)
 
+    def test_prepare_matches_fraction_oracle(self):
+        # every rank 0..8, against the full scan over the data of the
+        # Fraction LDL^T that count_by_norm no longer builds
+        forms = random_forms(3, 945, max_rank=8)
+        assert {len(gram) for gram in forms} == set(range(9))
+        steps = set()
+        for k, gram in enumerate(forms):
+            data = prepare_fraction(gram)
+            steps.update(data["m"])
+            norm_max = k % 12 - 1
+            assert pure.count_by_norm(gram, norm_max) == \
+                count_full(data, norm_max), (gram, norm_max)
+        assert max(steps) > 1
+
     def test_rejects_like_fraction_oracle(self):
         # shifted diagonals make many forms indefinite or degenerate; the
         # message matches unless the oracle stops at a zero pivot, which the
@@ -147,16 +161,13 @@ class TestHalfSpaceScan(object):
     """The half-space scan against the full scan over the oracle's data."""
 
     def test_matches_full_scan_on_random_forms(self):
-        forms = random_forms(3, 945, max_rank=8)
-        assert {len(gram) for gram in forms} == set(range(9))
-        steps = set()
-        for k, gram in enumerate(forms):
-            data = prepare_fraction(gram)
-            steps.update(data["m"])
+        forms = random_forms(1, 420)
+        datas = [prepare_fraction(gram) for gram in forms]
+        assert any(max(data["m"], default=1) > 1 for data in datas)
+        for k, (gram, data) in enumerate(zip(forms, datas)):
             norm_max = k % 12 - 1
             assert pure.count_by_norm(gram, norm_max) == \
                 count_full(data, norm_max), (gram, norm_max)
-        assert max(steps) > 1
 
     def test_e8_theta_coefficients(self):
         gram = lat.e8_lattice().gram
