@@ -11,13 +11,14 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import comb
+from math import comb, gcd
 from typing import Sequence, Union
 
 from .lattice import ParityViolation
 from .modforms import divisor_sigma, theta_e8
 from .series import (QSeries, _as_fraction, _digits, _euler_product_t,
-                     _json_int, _pack, _poly_str, _width, product_family)
+                     _json_int, _pack, _poly_str, _spread, _width,
+                     product_family)
 
 Rational = Union[int, Fraction]
 
@@ -135,23 +136,28 @@ class BiSeries:
         return self.coeffs[k]
 
     def __mul__(self, other: "BiSeries") -> "BiSeries":
-        """Truncated product with each t-polynomial packed into one integer
-        at t = 2**(8*width), as ``goettsche_series`` does: q**m is then the
-        integer convolution sum_{i<=m} X_i*Y_(m-i).  Its t-digits are sums
-        of at most n*max(len Y_j) digit products, which sets the width."""
+        """Truncated product with each t-polynomial packed into one integer,
+        as ``goettsche_series`` does.  Every exponent with a nonzero
+        coefficient in either operand is a multiple of g (1 if there are
+        none), so the polynomials are packed in s = t**g at
+        s = 2**(8*width): q**m is then the integer convolution
+        sum_{i<=m} X_i*Y_(m-i), spread back to stride g.  Its s-digits are
+        sums of at most n*max(len Y_j) digit products, which sets the width."""
         if not isinstance(other, BiSeries):
             return NotImplemented
         if (self.var_q, self.var_t) != (other.var_q, other.var_t):
             raise ValueError("variable names differ")
         n = min(self.order, other.order) + 1
         fs, gs = self.coeffs[:n], other.coeffs[:n]
+        g = gcd(*(a for p in chain(fs, gs) for a, c in enumerate(p) if c)) or 1
+        fs, gs = ([p[::g] for p in f] for f in (fs, gs))
         width = _width(max(1, *map(abs, chain(*fs))) * n * max(map(len, gs))
                        * max(1, *map(abs, chain(*gs))))
         xs, ys = ([_pack(p, width) for p in f] for f in (fs, gs))
         zs = [sum(map(operator.mul, xs[:m + 1], reversed(ys[:m + 1])))
               for m in range(n)]
-        return BiSeries([_digits(z, width) for z in zs], var_q=self.var_q,
-                        var_t=self.var_t, order=n - 1)
+        return BiSeries([_spread(_digits(z, width), g) for z in zs],
+                        var_q=self.var_q, var_t=self.var_t, order=n - 1)
 
     def __eq__(self, other):
         if not isinstance(other, BiSeries):
@@ -213,7 +219,10 @@ def goettsche_series(surface: SurfaceData, order: int) -> BiSeries:
     exponent (-1)**(i+1) b_i, i = 0..4.  The q**k coefficient is the
     Poincaré polynomial of the k-point Hilbert scheme; t = -1 recovers the
     Euler-characteristic series.  All factors are expanded at once by the
-    integer Euler-product recurrence with t packed as a power of two.
+    integer Euler-product recurrence with t**g packed as a power of two,
+    g the gcd of the exponents 2m-2+i (1 if that is 0).  On the plane, K3
+    and B9 (b1 = b3 = 0) g = 2 at every order from 1 on; where b1 or b3 is
+    nonzero g = 1, the plain packing in t.
     """
     b = surface.betti
     factors = [(m, 2 * m - 2 + i, (-1) ** i, b[i] if i % 2 else -b[i])

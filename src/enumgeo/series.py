@@ -148,16 +148,26 @@ def _euler_product(factors: Iterable, order: int) -> list:
     return f
 
 
+def _spread(digits: list, g: int) -> list:
+    """The t-polynomial sum(d_i * t**(g*i)) of a polynomial in s = t**g."""
+    poly = [0] * (g * len(digits) - g + 1)
+    poly[::g] = digits
+    return poly
+
+
 def _euler_product_t(factors: list, order: int) -> list:
     """prod (1 - s*t**a*q**m)**e over (m, a, s, e), s = +-1, as integer
-    t-polynomials at q**0..q**order: ``_euler_product`` at t = 2**(8*width).
-    The majorant prod (1 - q**m)**(-|e|) bounds every t-coefficient."""
+    t-polynomials at q**0..q**order.  Every a is a multiple of g, the gcd
+    of the a (1 if that is 0), so this is ``_euler_product`` in t**g at
+    t**g = 2**(8*width), spread back to stride g.  The majorant
+    prod (1 - q**m)**(-|e|) bounds every t-coefficient."""
     majorant = _euler_product([(m, 1, -abs(e)) for m, _, _, e in factors],
                               order)
     width = _width(max(majorant))
-    values = _euler_product([(m, s << (8 * width * a), e)
+    g = gcd(*(a for _, a, _, _ in factors)) or 1
+    values = _euler_product([(m, s << (8 * width * (a // g)), e)
                              for m, a, s, e in factors], order)
-    return [_digits(v, width) for v in values]
+    return [_spread(_digits(v, width), g) for v in values]
 
 
 def _json_int(value) -> int:

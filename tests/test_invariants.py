@@ -10,7 +10,8 @@ import pytest
 from enumgeo import invariants as inv
 from enumgeo import lattice as lat
 from enumgeo import modforms as mf
-from enumgeo.series import QSeries, int_binomial, product_family
+from enumgeo.series import (QSeries, _euler_product_t, int_binomial,
+                            product_family)
 
 
 def brute_sigma1(n):
@@ -73,8 +74,37 @@ def goettsche_by_factors(surface, order):
     return out
 
 
-#: the three presets and two surfaces with b1 != 0 (an abelian surface and
-#: a ruled surface over an elliptic curve), whose polynomials carry signs
+def euler_product_t_schoolbook(factors, order):
+    """Oracle: prod (1 - s*t**a*q**m)**e over (m, a, s, e) as trimmed
+    t-polynomials at q**0..q**order, each factor expanded by the binomial
+    theorem and multiplied in term by term."""
+    out = [{0: 1}] + [{} for _ in range(order)]
+    for m, a, s, e in factors:
+        terms = [(m * j, a * j, int_binomial(e, j) * (-s) ** j)
+                 for j in range(order // m + 1)]
+        new = [{} for _ in range(order + 1)]
+        for k, poly in enumerate(out):
+            for dq, dt, c in terms:
+                if k + dq > order:
+                    break
+                for t, x in poly.items():
+                    new[k + dq][t + dt] = new[k + dq].get(t + dt, 0) + x * c
+        out = new
+    return [tuple(trim([p.get(t, 0) for t in range(max(p, default=0) + 1)]))
+            for p in out]
+
+
+def trim(poly):
+    poly = list(poly)
+    while len(poly) > 1 and poly[-1] == 0:
+        poly.pop()
+    return poly or [0]
+
+
+#: the three presets, two surfaces with b1 != 0 (an abelian surface and
+#: a ruled surface over an elliptic curve), whose polynomials carry signs,
+#: and two Betti tuples whose t-exponents at order 1 have gcd 4 (b0, b4)
+#: and gcd 0 (b0 alone), so goettsche_series packs in neither t nor t^2
 GOETTSCHE_SURFACES = {
     "p2": inv.SurfaceData.projective_plane(),
     "k3": inv.SurfaceData.k3(),
@@ -83,6 +113,10 @@ GOETTSCHE_SURFACES = {
                                p_g=1, b1_zero=False),
     "elliptic-ruled": inv.SurfaceData(betti=(1, 2, 2, 2, 1), chi_top=0,
                                       chi_O=0, p_g=0, b1_zero=False),
+    "b0-b4": inv.SurfaceData(betti=(1, 0, 0, 0, 1), chi_top=2, chi_O=1,
+                             p_g=0),
+    "b0-only": inv.SurfaceData(betti=(1, 0, 0, 0, 0), chi_top=1, chi_O=1,
+                               p_g=0),
 }
 
 
@@ -213,6 +247,31 @@ class TestBiSeries(object):
                 assert got.order == want.order
                 assert got.coeffs == want.coeffs
 
+    @pytest.mark.parametrize("strides", [(3, 3), (3, 6), (2, 3), (4, 1),
+                                         (5, 0)],
+                             ids=["t3-t3", "t3-t6", "t2-t3", "t4-t1",
+                                  "t5-const"])
+    def test_mul_in_powers_of_t_matches_schoolbook(self, strides):
+        # operands whose exponents are multiples of a stride (0: constants
+        # only), so the product packs in t^gcd; the order of the operands
+        # must not matter
+        rng = random.Random(str(strides))
+
+        def poly(k, stride):
+            if not stride:
+                return (rng.randint(-9, 9),)
+            degree = rng.randint(0, 4 * k) // stride * stride
+            return tuple(rng.randint(-2 ** 30, 2 ** 30)
+                         if i % stride == 0 else 0
+                         for i in range(degree + 1))
+
+        for _ in range(12):
+            n = rng.randint(0, 10)
+            f, g = (inv.BiSeries([poly(k, d) for k in range(n + 1)], order=n)
+                    for d in strides)
+            for x, y in ((f, g), (g, f), (f, f)):
+                assert (x * y).coeffs == biseries_schoolbook(x, y).coeffs
+
     def test_mul_at_the_digit_bound(self):
         # with every coefficient +-c, a middle t-digit of the product sums
         # many products c*c; as c grows its size passes every bit position
@@ -302,6 +361,22 @@ class TestGoettsche(object):
         g = inv.goettsche_series(surface, order)
         assert g.order == order
         assert g.coeffs == goettsche_by_factors(surface, order).coeffs
+
+
+class TestEulerProductT(object):
+    @pytest.mark.parametrize("exponents", [(3, 6, 9), (0, 3, 9),
+                                           (0, 4, 6), (2, 3, 7), (0, 1, 5)],
+                             ids=["g3", "g3-with-0", "g2-with-0", "gcd1",
+                                  "gcd1-with-0"])
+    def test_matches_schoolbook(self, exponents):
+        rng = random.Random(str(exponents))
+        for _ in range(12):
+            order = rng.randint(0, 9)
+            factors = [(rng.randint(1, 4), rng.choice(exponents),
+                        rng.choice((-1, 1)), rng.randint(-5, 5))
+                       for _ in range(rng.randint(0, 6))]
+            got = [tuple(trim(p)) for p in _euler_product_t(factors, order)]
+            assert got == euler_product_t_schoolbook(factors, order), factors
 
 
 class TestBryanLeung(object):
