@@ -2,6 +2,9 @@
 Göttsche's Betti-number product, the Bryan-Leung rational-elliptic series,
 genus conditions, and the Seiberg-Witten / wall-crossing bookkeeping that
 feeds Donaldson-Thomas comparisons.
+
+Göttsche's product is a ``BiSeries``; the class lives in ``series`` and is
+imported here, so ``invariants.BiSeries`` is the same class.
 """
 
 from __future__ import annotations
@@ -10,14 +13,12 @@ import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from math import comb, gcd
+from math import comb
 from typing import Sequence, Union
 
 from .lattice import ParityViolation
 from .modforms import divisor_sigma, theta_e8
-from .series import (QSeries, _as_fraction, _digits, _euler_product_t,
-                     _json_int, _pack, _poly_str, _spread, _width,
+from .series import (BiSeries, QSeries, _as_fraction, _euler_product_t,
                      product_family)
 
 Rational = Union[int, Fraction]
@@ -85,124 +86,6 @@ class SurfaceData:
     def half_k3(cls) -> "SurfaceData":
         """The rational elliptic surface (plane blown up in nine points)."""
         return cls(betti=(1, 0, 10, 0, 1), chi_top=12, chi_O=1, p_g=0)
-
-
-class BiSeries:
-    """Truncated series in q whose coefficients are integer polynomials
-    in a second variable t; degree at q**k is at most 4k."""
-
-    __slots__ = ("var_q", "var_t", "order", "coeffs")
-
-    def __init__(self, coeffs: Sequence, var_q: str = "q", var_t: str = "t",
-                 order: int | None = None):
-        polys = [self._trim([operator.index(c) for c in poly])
-                 for poly in coeffs]
-        if order is None:
-            if not polys:
-                raise ValueError("empty coefficient list and no order given")
-            order = len(polys) - 1
-        order = operator.index(order)
-        if order < 0:
-            raise ValueError(f"order must be >= 0, got {order}")
-        if len(polys) > order + 1:
-            raise ValueError(f"{len(polys)} polynomials exceed order {order}")
-        polys.extend([(0,)] * (order + 1 - len(polys)))
-        for k, poly in enumerate(polys):
-            if len(poly) - 1 > 4 * k and any(poly[4 * k + 1:]):
-                raise ValueError(
-                    f"t-degree {len(poly) - 1} at q^{k} exceeds bound {4 * k}")
-        object.__setattr__(self, "var_q", var_q)
-        object.__setattr__(self, "var_t", var_t)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(tuple(p) for p in polys))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BiSeries is immutable")
-
-    @staticmethod
-    def _trim(poly):
-        while len(poly) > 1 and poly[-1] == 0:
-            poly.pop()
-        return poly or [0]
-
-    @classmethod
-    def one(cls, order: int, var_q: str = "q", var_t: str = "t") -> "BiSeries":
-        return cls([(1,)], var_q=var_q, var_t=var_t, order=order)
-
-    def coefficient(self, k: int) -> tuple:
-        """The t-polynomial at q**k, as a coefficient tuple."""
-        if k < 0 or k > self.order:
-            raise IndexError(f"q-exponent {k} outside stored order {self.order}")
-        return self.coeffs[k]
-
-    def __mul__(self, other: "BiSeries") -> "BiSeries":
-        """Truncated product with each t-polynomial packed into one integer,
-        as ``goettsche_series`` does.  Every exponent with a nonzero
-        coefficient in either operand is a multiple of g (1 if there are
-        none), so the polynomials are packed in s = t**g at
-        s = 2**(8*width): q**m is then the integer convolution
-        sum_{i<=m} X_i*Y_(m-i), spread back to stride g.  Its s-digits are
-        sums of at most n*max(len Y_j) digit products, which sets the width."""
-        if not isinstance(other, BiSeries):
-            return NotImplemented
-        if (self.var_q, self.var_t) != (other.var_q, other.var_t):
-            raise ValueError("variable names differ")
-        n = min(self.order, other.order) + 1
-        fs, gs = self.coeffs[:n], other.coeffs[:n]
-        g = gcd(*(a for p in chain(fs, gs) for a, c in enumerate(p) if c)) or 1
-        fs, gs = ([p[::g] for p in f] for f in (fs, gs))
-        width = _width(max(1, *map(abs, chain(*fs))) * n * max(map(len, gs))
-                       * max(1, *map(abs, chain(*gs))))
-        xs, ys = ([_pack(p, width) for p in f] for f in (fs, gs))
-        zs = [sum(map(operator.mul, xs[:m + 1], reversed(ys[:m + 1])))
-              for m in range(n)]
-        return BiSeries([_spread(_digits(z, width), g) for z in zs],
-                        var_q=self.var_q, var_t=self.var_t, order=n - 1)
-
-    def __eq__(self, other):
-        if not isinstance(other, BiSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return ((self.var_q, self.var_t) == (other.var_q, other.var_t)
-                and self.coeffs[: n + 1] == other.coeffs[: n + 1])
-
-    __hash__ = None
-
-    def eval_t(self, value: Rational) -> QSeries:
-        """Specialize the second variable to an exact rational v = p/r.
-
-        Integer Horner over each t-polynomial of degree d gives
-        sum_k c_k p^k r^(d-k); one ``Fraction`` per q-coefficient divides
-        it by r^d."""
-        v = _as_fraction(value)
-        p, r = v.numerator, v.denominator
-        cs = []
-        for poly in self.coeffs:
-            num, den = 0, 1
-            for c in reversed(poly):
-                num = num * p + c * den
-                den *= r
-            cs.append(Fraction(num * r, den))
-        return QSeries(cs, var=self.var_q, order=self.order)
-
-    def __str__(self):
-        lines = [f"{self.var_q}^{k}: {_poly_str(p, self.var_t)}"
-                 for k, p in enumerate(self.coeffs)]
-        return "\n".join(lines)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "var_q": self.var_q,
-            "var_t": self.var_t,
-            "order": self.order,
-            "coeffs": [[str(c) for c in poly] for poly in self.coeffs],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "BiSeries":
-        return cls([[_json_int(c) for c in poly] for poly in data["coeffs"]],
-                   var_q=data["var_q"], var_t=data["var_t"],
-                   order=data["order"])
 
 
 def hilb_euler_series(surface: SurfaceData, order: int) -> QSeries:

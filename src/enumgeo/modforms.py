@@ -18,8 +18,8 @@ from functools import lru_cache, reduce
 from typing import Sequence
 
 from . import lattice as _lattice
-from .series import (QSeries, _as_fraction, _euler_product, _product,
-                     _scaled, product_family)
+from .series import (QSeries, SeriesError, _as_fraction, _euler_product,
+                     _product, _scaled, product_family)
 
 #: weight -> (prefactor of the divisor sum, divisor power)
 _EISENSTEIN = {2: (-24, 1), 4: (240, 3), 6: (-504, 5)}
@@ -87,6 +87,8 @@ def theta_e8(order: int, method: str = "eisenstein") -> QSeries:
     method='lattice' counts vectors of each even norm exactly;
     method='eisenstein' returns E4.  The two agree identically.
     """
+    if order < 0:  # before the lattice scan, which would name norm_max
+        raise SeriesError(f"order must be >= 0, got {order}")
     if method == "eisenstein":
         return eisenstein(4, order)
     if method == "lattice":

@@ -16,14 +16,20 @@ once (Kronecker substitution, ``_product``).  Quotients, inverse, log and
 exp are forward substitutions (``_substitute``), and infinite products
 prod (1 - c*q**m)**e the logarithmic-derivative recurrence of
 ``_euler_product``.
+
+``BiSeries`` is a q-series whose coefficients are integer polynomials in a
+second variable t, as Göttsche's product is.  Its product and
+``_euler_product_t`` pack each t-polynomial into one integer and read it
+back with ``_t_poly``; no other module knows that packed format.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import comb, gcd, lcm
 from operator import index, mul
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -96,13 +102,6 @@ def _unpack(value: int, width: int, count: int) -> list:
             for i in range(0, width * count, width)]
 
 
-def _digits(value: int, width: int) -> list:
-    """All signed digits of ``value`` as ``_pack`` wrote them: its bits and
-    one more, rounded up to whole digits, so that the top digit is signed."""
-    bits = 8 * width
-    return _unpack(value, width, (abs(value).bit_length() + bits) // bits)
-
-
 def _product(xs: list, ys: list) -> list:
     """The first n coefficients of xs*ys for integer lists of length n:
     one bigint product of the packed lists (Kronecker substitution).  The
@@ -148,8 +147,12 @@ def _euler_product(factors: Iterable, order: int) -> list:
     return f
 
 
-def _spread(digits: list, g: int) -> list:
-    """The t-polynomial sum(d_i * t**(g*i)) of a polynomial in s = t**g."""
+def _t_poly(value: int, width: int, g: int) -> list:
+    """The t-polynomial sum(d_i * t**(g*i)) of the signed digits d_i that
+    ``_pack`` wrote into ``value``: all its bits and one more, rounded up
+    to whole digits, so that the top digit is signed."""
+    bits = 8 * width
+    digits = _unpack(value, width, (abs(value).bit_length() + bits) // bits)
     poly = [0] * (g * len(digits) - g + 1)
     poly[::g] = digits
     return poly
@@ -167,7 +170,7 @@ def _euler_product_t(factors: list, order: int) -> list:
     g = gcd(*(a for _, a, _, _ in factors)) or 1
     values = _euler_product([(m, s << (8 * width * (a // g)), e)
                              for m, a, s, e in factors], order)
-    return [_spread(_digits(v, width), g) for v in values]
+    return [_t_poly(v, width, g) for v in values]
 
 
 def _json_int(value) -> int:
@@ -196,6 +199,22 @@ def _poly_str(coeffs, var: str) -> str:
     return _signed_sum(zip(names, coeffs))
 
 
+def _padded(items: list, order: int | None, fill) -> list:
+    """``items`` padded with ``fill`` to ``order + 1`` entries (to their own
+    length if ``order`` is None); SeriesError if that cannot be done."""
+    if order is None:
+        if not items:
+            raise SeriesError("empty coefficient list and no order given")
+        order = len(items) - 1
+    order = index(order)
+    if order < 0:
+        raise SeriesError(f"order must be >= 0, got {order}")
+    if len(items) > order + 1:
+        raise SeriesError(f"{len(items)} coefficients exceed order {order}; "
+                          "truncate explicitly")
+    return items + [fill] * (order + 1 - len(items))
+
+
 class QSeries:
     """An exact truncated power series q**shift * sum(c_k q**k, k=0..order)."""
 
@@ -203,20 +222,9 @@ class QSeries:
 
     def __init__(self, coeffs: Iterable[Rational], var: str = "q",
                  shift: Rational = 0, order: int | None = None):
-        cs = [_as_fraction(c) for c in coeffs]
-        if order is None:
-            if not cs:
-                raise SeriesError("empty coefficient list and no order given")
-            order = len(cs) - 1
-        order = index(order)
-        if order < 0:
-            raise SeriesError(f"order must be >= 0, got {order}")
-        if len(cs) > order + 1:
-            raise SeriesError(
-                f"{len(cs)} coefficients exceed order {order}; truncate explicitly")
-        cs.extend([Fraction(0)] * (order + 1 - len(cs)))
+        cs = _padded([_as_fraction(c) for c in coeffs], order, Fraction(0))
         object.__setattr__(self, "var", var)
-        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "order", len(cs) - 1)
         object.__setattr__(self, "shift", _as_fraction(shift))
         object.__setattr__(self, "coeffs", tuple(cs))
 
@@ -414,8 +422,6 @@ class QSeries:
         n = min(self.order, other.order)
         return self.coeffs[: n + 1] == other.coeffs[: n + 1]
 
-    __hash__ = None
-
     def __str__(self):
         body = _poly_str(self.coeffs, self.var)
         body = f"{body} + O({self.var}^{self.order + 1})"
@@ -449,6 +455,112 @@ class QSeries:
         coeffs = [Fraction(_json_int(num), _json_int(den))
                   for num, den in data["coeffs"]]
         return cls(coeffs, var=data["var"], shift=shift, order=data["order"])
+
+
+class BiSeries:
+    """Truncated series in q whose coefficients are integer polynomials
+    in a second variable t; degree at q**k is at most 4k."""
+
+    __slots__ = ("var_q", "var_t", "order", "coeffs")
+
+    def __init__(self, coeffs: Sequence, var_q: str = "q", var_t: str = "t",
+                 order: int | None = None):
+        polys = _padded([self._trim([index(c) for c in poly])
+                         for poly in coeffs], order, (0,))
+        for k, poly in enumerate(polys):
+            if len(poly) - 1 > 4 * k and any(poly[4 * k + 1:]):
+                raise ValueError(
+                    f"t-degree {len(poly) - 1} at q^{k} exceeds bound {4 * k}")
+        object.__setattr__(self, "var_q", var_q)
+        object.__setattr__(self, "var_t", var_t)
+        object.__setattr__(self, "order", len(polys) - 1)
+        object.__setattr__(self, "coeffs", tuple(tuple(p) for p in polys))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("BiSeries is immutable")
+
+    @staticmethod
+    def _trim(poly):
+        while len(poly) > 1 and poly[-1] == 0:
+            poly.pop()
+        return poly or [0]
+
+    @classmethod
+    def one(cls, order: int, var_q: str = "q", var_t: str = "t") -> "BiSeries":
+        return cls([(1,)], var_q=var_q, var_t=var_t, order=order)
+
+    def coefficient(self, k: int) -> tuple:
+        """The t-polynomial at q**k, as a coefficient tuple."""
+        if k < 0 or k > self.order:
+            raise IndexError(f"q-exponent {k} outside stored order {self.order}")
+        return self.coeffs[k]
+
+    def __mul__(self, other: "BiSeries") -> "BiSeries":
+        """Truncated product with each t-polynomial packed into one integer,
+        as ``goettsche_series`` does.  Every exponent with a nonzero
+        coefficient in either operand is a multiple of g (1 if there are
+        none), so the polynomials are packed in s = t**g at
+        s = 2**(8*width): q**m is then the integer convolution
+        sum_{i<=m} X_i*Y_(m-i), spread back to stride g.  Its s-digits are
+        sums of at most n*max(len Y_j) digit products, which sets the width."""
+        if not isinstance(other, BiSeries):
+            return NotImplemented
+        if (self.var_q, self.var_t) != (other.var_q, other.var_t):
+            raise ValueError("variable names differ")
+        n = min(self.order, other.order) + 1
+        fs, gs = self.coeffs[:n], other.coeffs[:n]
+        g = gcd(*(a for p in chain(fs, gs) for a, c in enumerate(p) if c)) or 1
+        fs, gs = ([p[::g] for p in f] for f in (fs, gs))
+        width = _width(max(1, *map(abs, chain(*fs))) * n * max(map(len, gs))
+                       * max(1, *map(abs, chain(*gs))))
+        xs, ys = ([_pack(p, width) for p in f] for f in (fs, gs))
+        zs = [sum(map(mul, xs[:m + 1], reversed(ys[:m + 1])))
+              for m in range(n)]
+        return BiSeries([_t_poly(z, width, g) for z in zs],
+                        var_q=self.var_q, var_t=self.var_t, order=n - 1)
+
+    def __eq__(self, other):
+        if not isinstance(other, BiSeries):
+            return NotImplemented
+        n = min(self.order, other.order)
+        return ((self.var_q, self.var_t) == (other.var_q, other.var_t)
+                and self.coeffs[: n + 1] == other.coeffs[: n + 1])
+
+    def eval_t(self, value: Rational) -> QSeries:
+        """Specialize the second variable to an exact rational v = p/r.
+
+        Integer Horner over each t-polynomial of degree d gives
+        sum_k c_k p^k r^(d-k); one ``Fraction`` per q-coefficient divides
+        it by r^d."""
+        v = _as_fraction(value)
+        p, r = v.numerator, v.denominator
+        cs = []
+        for poly in self.coeffs:
+            num, den = 0, 1
+            for c in reversed(poly):
+                num = num * p + c * den
+                den *= r
+            cs.append(Fraction(num * r, den))
+        return QSeries(cs, var=self.var_q, order=self.order)
+
+    def __str__(self):
+        lines = [f"{self.var_q}^{k}: {_poly_str(p, self.var_t)}"
+                 for k, p in enumerate(self.coeffs)]
+        return "\n".join(lines)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "var_q": self.var_q,
+            "var_t": self.var_t,
+            "order": self.order,
+            "coeffs": [[str(c) for c in poly] for poly in self.coeffs],
+        }
+
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "BiSeries":
+        return cls([[_json_int(c) for c in poly] for poly in data["coeffs"]],
+                   var_q=data["var_q"], var_t=data["var_t"],
+                   order=data["order"])
 
 
 def int_binomial(e: int, j: int) -> int:

@@ -5,15 +5,17 @@ their ``to_json_dict()``.
 
 ``geobench/goldens.json`` maps each request ``"cli <argv>"`` to the sha256
 of its canonical JSON outcome, or to ``"exit2"`` for a malformed request.
-The file is only read here.  Requests that run the E8 scan (``verify
-all``, the theta checks, ``lattice enumerate``) are left to the benchmark
-for time, and the ``@``-tokens name wall files that only the benchmark
-writes.
+The file is only read here.  The long E8 scans (``--method lattice``,
+``verify all``, ``verify theta-cross-method`` and ``lattice enumerate`` at
+norms of 10 and more) are left to the benchmark for time.  The ``@``-tokens
+name wall files, which the benchmark's own ``write_wall_files`` writes.
 """
 
 import hashlib
+import importlib.util
 import json
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,8 +24,20 @@ import pytest
 from enumgeo import cli
 from enumgeo import modforms as mf
 
-GOLDENS = Path(__file__).resolve().parents[1] / "geobench" / "goldens.json"
-SKIPPED = ("verify all", "theta", "enumerate", "@")
+GEOBENCH = Path(__file__).resolve().parents[1] / "geobench"
+GOLDENS = GEOBENCH / "goldens.json"
+SKIPPED = ("--method lattice", "verify all", "verify theta-cross-method")
+LONG_SCAN = re.compile(r"--norm-max [1-9]\d")
+
+
+def load_jobs():
+    """``geobench/jobs.py`` as a module; ``dataclass`` needs it in
+    ``sys.modules`` while it runs."""
+    spec = importlib.util.spec_from_file_location("geobench_jobs",
+                                                  GEOBENCH / "jobs.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def goldens(workload):
@@ -38,10 +52,17 @@ def digest(value):
 
 def replayed():
     return {key: want for key, want in goldens("cli-fresh").items()
-            if not any(word in key for word in SKIPPED)}
+            if not any(word in key for word in SKIPPED)
+            and not LONG_SCAN.search(key)}
 
 
-def outcome(capsys, argv):
+@pytest.fixture
+def wall_files(tmp_path):
+    return load_jobs().write_wall_files(tmp_path)
+
+
+def outcome(capsys, argv, files):
+    argv = [files.get(word, word) for word in argv]
     try:
         rc = cli.main(argv)
     except SystemExit as exc:  # argparse usage errors
@@ -57,18 +78,20 @@ def no_env_order(monkeypatch):
 
 def test_replay_covers_every_kind_of_request():
     keys = replayed()
-    assert len(keys) >= 400
+    assert len(keys) >= 550
     words = {key.split()[1] for key in keys}
     assert words == {"expand", "verify", "lattice", "sw", "fit"}
     assert sum(want == "exit2" for want in keys.values()) >= 5
+    for word in ("theta-e8", "enumerate", "@wall-", "@bad-"):
+        assert any(word in key for key in keys), word
 
 
-def test_outputs_match_golden_digests(capsys, no_env_order):
+def test_outputs_match_golden_digests(capsys, no_env_order, wall_files):
     mismatched = []
     for key, want in replayed().items():
         if want == "exit2":
             continue
-        if digest(outcome(capsys, key.split()[1:])) != want:
+        if digest(outcome(capsys, key.split()[1:], wall_files)) != want:
             mismatched.append(key)
     assert mismatched == []
 
@@ -98,11 +121,12 @@ def test_fits_match_golden_digests():
     assert mismatched == []
 
 
-def test_malformed_requests_exit_2_with_one_error_line(capsys, no_env_order):
+def test_malformed_requests_exit_2_with_one_error_line(capsys, no_env_order,
+                                                       wall_files):
     for key, want in replayed().items():
         if want != "exit2":
             continue
-        got = outcome(capsys, key.split()[1:])
+        got = outcome(capsys, key.split()[1:], wall_files)
         assert got["rc"] == 2, key
         assert got["stdout"] == "", key
         lines = [line for line in got["stderr"].splitlines() if line]

@@ -10,8 +10,9 @@ import pytest
 from enumgeo import invariants as inv
 from enumgeo import lattice as lat
 from enumgeo import modforms as mf
-from enumgeo.series import (QSeries, _euler_product_t, int_binomial,
-                            product_family)
+from enumgeo import series
+from enumgeo.series import (QSeries, SeriesError, _euler_product_t,
+                            int_binomial, product_family)
 
 
 def brute_sigma1(n):
@@ -177,6 +178,21 @@ class TestBiSeries(object):
         with pytest.raises(ValueError):
             inv.BiSeries.from_json_dict(
                 {"coeffs": [], "order": -1, "var_q": "q", "var_t": "t"})
+
+    def test_is_the_series_class(self):
+        assert inv.BiSeries is series.BiSeries
+
+    @pytest.mark.parametrize("polys, order, message", [
+        ([], None, "empty coefficient list and no order given"),
+        ([(1,)], -1, "order must be >= 0, got -1"),
+        ([(1,), (1, 1), (2,)], 1,
+         "3 coefficients exceed order 1; truncate explicitly"),
+    ], ids=["empty", "negative", "one-too-many"])
+    def test_bad_order_raises_series_error(self, polys, order, message):
+        with pytest.raises(SeriesError) as caught:
+            inv.BiSeries(polys, order=order)
+        assert str(caught.value) == message
+        assert isinstance(caught.value, ValueError)
 
     def test_mul_against_hand_product(self):
         a = inv.BiSeries([(1,), (1, 1)], order=2)   # 1 + (1+t) q

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from enumgeo import modforms as mf
-from enumgeo.series import QSeries, _as_fraction, _scaled, product_family
+from enumgeo.series import (QSeries, SeriesError, _as_fraction, _scaled,
+                            product_family)
 
 
 def brute_sigma(n, k):
@@ -228,6 +229,14 @@ class TestThetaE8:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             mf.theta_e8(4, "guess")
+
+    @pytest.mark.parametrize("method", ["eisenstein", "lattice"])
+    def test_negative_order_before_any_scan(self, method, monkeypatch):
+        def no_scan(order):
+            raise AssertionError("the E8 scan ran")
+        monkeypatch.setattr(mf, "_theta_counts", no_scan)
+        with pytest.raises(SeriesError, match=r"^order must be >= 0, got -1$"):
+            mf.theta_e8(-1, method)
 
 
 class TestMonomialBasis:

@@ -9,6 +9,7 @@ import pytest
 
 from enumgeo.modforms import eisenstein
 from enumgeo.series import (
+    BiSeries,
     QSeries,
     SeriesError,
     VariableMismatch,
@@ -22,6 +23,7 @@ from enumgeo.series import (
     _euler_product,
     _pack,
     _poly_str,
+    _t_poly,
     _unpack,
 )
 
@@ -50,6 +52,26 @@ def poly_str_replace(coeffs, var):
         return f"{c}*{v}"
     terms = [term(k, c) for k, c in enumerate(coeffs) if c]
     return " + ".join(terms).replace("+ -", "- ") if terms else "0"
+
+
+def signed_digits(value, base):
+    """Oracle: the digits d_i of value = sum(d_i * base**i) in
+    [-base/2, base/2), lowest first, found one at a time."""
+    digits = []
+    while value:
+        d = value % base
+        if d >= base // 2:
+            d -= base
+        digits.append(d)
+        value = (value - d) // base
+    return digits
+
+
+def trimmed(poly):
+    """poly without its trailing zeros."""
+    while poly and poly[-1] == 0:
+        poly = poly[:-1]
+    return poly
 
 
 def binomial_product(exponent, order):
@@ -122,6 +144,12 @@ class TestConstruction:
         f = QSeries([1])
         with pytest.raises(AttributeError):
             f.order = 3
+
+    def test_unhashable(self):
+        # __eq__ compares up to the smaller order, so no hash can agree
+        for f in (QSeries.one(2), BiSeries.one(2)):
+            with pytest.raises(TypeError):
+                hash(f)
 
     def test_non_rational_rejected(self):
         with pytest.raises(TypeError):
@@ -401,6 +429,26 @@ class TestPackedProduct:
             digits = [-half, half - 1, 0, -1, 1] + [
                 rng.randint(-half, half - 1) for _ in range(20)]
             assert _unpack(_pack(digits, width), width, len(digits)) == digits
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_t_poly_matches_digit_decode(self, g):
+        # the top digit is negative, so the value's sign sits in a digit of
+        # its own; [0, 1, -1] at width 1 is -65280, whose 16 bits fill two
+        # digits exactly
+        rng = random.Random(g)
+        cases = [([0, 1, -1], 1), ([-128], 1), ([5, -3], 1)]
+        for width in (1, 2, 3):
+            half = 1 << (8 * width - 1)
+            for _ in range(100):
+                digits = [rng.randint(-half, half - 1)
+                          for _ in range(rng.randint(0, 6))]
+                cases.append((digits + [-rng.randint(1, half)], width))
+        for digits, width in cases:
+            base = 1 << (8 * width)
+            value = sum(d * base ** i for i, d in enumerate(digits))
+            want = [0] * (g * len(digits) - g + 1)
+            want[::g] = signed_digits(value, base)
+            assert trimmed(_t_poly(value, width, g)) == want, (digits, g)
 
     def test_unpack_raises_on_overflow(self):
         # two signed 8-bit digits hold exactly -32896 .. 32639
