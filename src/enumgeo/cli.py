@@ -7,6 +7,7 @@ fitting of quasi-modular polynomials).
 
 Exit codes: 0 success, 1 failed verification, 2 malformed input.
 The environment variable ENUMGEO_ORDER overrides the default order 20.
+The surfaces named by ``--surface`` are those of ``invariants.SURFACES``.
 Output is deterministic: fixed orderings, sorted JSON keys, no timestamps.
 """
 
@@ -24,16 +25,6 @@ from . import lattice as lat
 from . import modforms as mf
 from . import verify as ver
 from .series import QSeries
-
-_SURFACES = {
-    "p2": inv.SurfaceData.projective_plane,
-    "k3": inv.SurfaceData.k3,
-    "b9": inv.SurfaceData.half_k3,
-}
-
-
-def _coeff_line(series: QSeries) -> str:
-    return ", ".join(map(str, series.coefficients()))
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -74,44 +65,37 @@ def _emit_json(payload) -> None:
 
 # -- expand ----------------------------------------------------------------
 
+#: expand target -> (series, header words after the target); the words are
+#: empty or start with a space
+_EXPAND = {
+    "eta-quotient": lambda a, n: (mf.eta_quotient(a.exponent, n),
+                                  f" exponent={a.exponent}"),
+    "eisenstein": lambda a, n: (mf.eisenstein(a.weight, n),
+                                f" weight={a.weight}"),
+    "theta-e8": lambda a, n: (mf.theta_e8(n, method=a.method),
+                              f" method={a.method}"),
+    "hilb-euler": lambda a, n: (
+        inv.hilb_euler_series(s := inv.SURFACES[a.surface](), n),
+        f" surface={a.surface} chi={s.chi_top}"),
+    "goettsche": lambda a, n: (
+        inv.goettsche_series(inv.SURFACES[a.surface](), n),
+        f" surface={a.surface}"),
+    "bryan-leung": lambda a, n: (inv.bryan_leung_series(a.genus, n),
+                                 f" genus={a.genus}"),
+    "half-k3-z1": lambda a, n: (inv.half_k3_z1(n), ""),
+}
+
+
 def _cmd_expand(args) -> int:
     order = _resolve_order(args)
-    target = args.target
-    if target == "eta-quotient":
-        series = mf.eta_quotient(args.exponent, order)
-        header = f"eta-quotient exponent={args.exponent}"
-    elif target == "eisenstein":
-        series = mf.eisenstein(args.weight, order)
-        header = f"eisenstein weight={args.weight}"
-    elif target == "theta-e8":
-        series = mf.theta_e8(order, method=args.method)
-        header = f"theta-e8 method={args.method}"
-    elif target == "hilb-euler":
-        surface = _SURFACES[args.surface]()
-        series = inv.hilb_euler_series(surface, order)
-        header = f"hilb-euler surface={args.surface} chi={surface.chi_top}"
-    elif target == "bryan-leung":
-        series = inv.bryan_leung_series(args.genus, order)
-        header = f"bryan-leung genus={args.genus}"
-    elif target == "half-k3-z1":
-        series = inv.half_k3_z1(order)
-        header = "half-k3-z1"
-    elif target == "goettsche":
-        surface = _SURFACES[args.surface]()
-        bi = inv.goettsche_series(surface, order)
-        if args.format == "json":
-            _emit_json(bi.to_json_dict())
-        else:
-            print(f"# goettsche surface={args.surface} order={order}")
-            print(bi)
-        return 0
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown target {target!r}")
+    series, words = _EXPAND[args.target](args, order)
     if args.format == "json":
         _emit_json(series.to_json_dict())
+    elif isinstance(series, QSeries):
+        print(f"# {args.target}{words} order={order} shift={series.shift}")
+        print(", ".join(map(str, series.coefficients())))
     else:
-        print(f"# {header} order={order} shift={series.shift}")
-        print(_coeff_line(series))
+        print(f"# {args.target}{words} order={order}\n{series}")
     return 0
 
 
@@ -297,110 +281,100 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact q-series, modular forms and surface-lattice "
                     "arithmetic for enumerative invariants.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    leaves = []
 
-    def add_common(p):
-        p.add_argument("--order", type=int, default=None,
-                       help="truncation order (default 20, or ENUMGEO_ORDER)")
-        p.add_argument("--format", choices=("text", "json"), default="text")
+    def command(sub, func, name, **kwargs):
+        p = sub.add_parser(name, **kwargs)
+        p.set_defaults(func=func)
+        leaves.append(p)
+        return p
 
-    p_expand = sub.add_parser("expand", help="print a series expansion")
-    p_expand.add_argument("target", choices=(
-        "eta-quotient", "eisenstein", "theta-e8", "hilb-euler",
-        "goettsche", "bryan-leung", "half-k3-z1"))
+    p_expand = command(sub, _cmd_expand, "expand",
+                       help="print a series expansion")
+    p_expand.add_argument("target", choices=tuple(_EXPAND))
     p_expand.add_argument("--exponent", type=int, default=-12,
                           help="eta-quotient exponent")
     p_expand.add_argument("--weight", type=int, choices=(2, 4, 6), default=4,
                           help="Eisenstein weight")
     p_expand.add_argument("--method", choices=("eisenstein", "lattice"),
                           default="eisenstein", help="theta-e8 method")
-    p_expand.add_argument("--surface", choices=tuple(_SURFACES), default="b9",
+    p_expand.add_argument("--surface", choices=tuple(inv.SURFACES),
+                          default="b9",
                           help="surface for hilb-euler / goettsche")
     p_expand.add_argument("--genus", type=int, default=0,
                           help="bryan-leung genus")
-    add_common(p_expand)
-    p_expand.set_defaults(func=_cmd_expand)
 
-    p_verify = sub.add_parser("verify", help="run golden self-checks")
+    p_verify = command(sub, _cmd_verify, "verify",
+                       help="run golden self-checks")
     p_verify.add_argument("suite", nargs="?", default="all",
                           choices=tuple(sorted(ver.SUITES)))
-    add_common(p_verify)
-    p_verify.set_defaults(func=_cmd_verify)
 
     p_lat = sub.add_parser("lattice", help="surface-lattice queries")
     lat_sub = p_lat.add_subparsers(dest="query", required=True)
 
-    p_pair = lat_sub.add_parser("pair", help="pairing of two classes")
+    p_pair = command(lat_sub, _cmd_lattice_pair, "pair",
+                     help="pairing of two classes")
     p_pair.add_argument("--u", required=True)
     p_pair.add_argument("--v", required=True)
-    add_common(p_pair)
-    p_pair.set_defaults(func=_cmd_lattice_pair)
 
-    p_genus = lat_sub.add_parser("genus", help="adjunction genus of a class")
+    p_genus = command(lat_sub, _cmd_lattice_genus, "genus",
+                      help="adjunction genus of a class")
     p_genus.add_argument("--beta", required=True)
-    add_common(p_genus)
-    p_genus.set_defaults(func=_cmd_lattice_genus)
 
-    p_sig = lat_sub.add_parser("signature", help="signature of a sublattice")
+    p_sig = command(lat_sub, _cmd_lattice_signature, "signature",
+                    help="signature of a sublattice")
     p_sig.add_argument("--sublattice",
                        choices=("full", "fiber-section", "e8"),
                        default="full")
-    add_common(p_sig)
-    p_sig.set_defaults(func=_cmd_lattice_signature)
 
-    p_enum = lat_sub.add_parser("enumerate", help="E8 vector counts by norm")
+    p_enum = command(lat_sub, _cmd_lattice_enumerate, "enumerate",
+                     help="E8 vector counts by norm")
     p_enum.add_argument("--norm-max", type=int, required=True)
-    add_common(p_enum)
-    p_enum.set_defaults(func=_cmd_lattice_enumerate)
 
-    p_exc = lat_sub.add_parser("exceptional",
-                               help="classes with K.b = b.b = -1")
+    p_exc = command(lat_sub, _cmd_lattice_exceptional, "exceptional",
+                    help="classes with K.b = b.b = -1")
     p_exc.add_argument("--k", type=int, required=True,
                        help="number of blown-up points (1..8)")
     p_exc.add_argument("--bound", type=int, default=6,
                        help="search bound on |b . e0|")
-    add_common(p_exc)
-    p_exc.set_defaults(func=_cmd_lattice_exceptional)
 
     p_sw = sub.add_parser("sw", help="Seiberg-Witten values")
     sw_sub = p_sw.add_subparsers(dest="query", required=True)
 
-    p_p2 = sw_sub.add_parser("p2", help="plane invariant by chamber")
+    p_p2 = command(sw_sub, _cmd_sw_p2, "p2", help="plane invariant by chamber")
     p_p2.add_argument("--c", type=int, required=True,
                       help="coefficient of the line class (odd)")
     p_p2.add_argument("--chamber", required=True,
                       choices=("+", "-", "plus", "minus"))
-    add_common(p_p2)
-    p_p2.set_defaults(func=_cmd_sw_p2)
 
-    p_cf = sw_sub.add_parser("closed-form",
-                             help="binomial closed form for p_g > 0")
+    p_cf = command(sw_sub, _cmd_sw_closed_form, "closed-form",
+                   help="binomial closed form for p_g > 0")
     p_cf.add_argument("--d", type=int, required=True)
     p_cf.add_argument("--pg", type=int, required=True)
-    add_common(p_cf)
-    p_cf.set_defaults(func=_cmd_sw_closed_form)
 
-    p_dim = sw_sub.add_parser("dimension", help="moduli dimension")
+    p_dim = command(sw_sub, _cmd_sw_dimension, "dimension",
+                    help="moduli dimension")
     p_dim.add_argument("--c-sq", type=int, required=True)
     p_dim.add_argument("--chi-top", type=int, required=True)
     p_dim.add_argument("--sigma", type=int, required=True)
-    add_common(p_dim)
-    p_dim.set_defaults(func=_cmd_sw_dimension)
 
-    p_moc = sw_sub.add_parser("mochizuki", help="wall-crossing sum from JSON")
+    p_moc = command(sw_sub, _cmd_sw_mochizuki, "mochizuki",
+                    help="wall-crossing sum from JSON")
     p_moc.add_argument("--file", required=True,
                        help="JSON with v, chi_v and the decompositions")
-    add_common(p_moc)
-    p_moc.set_defaults(func=_cmd_sw_mochizuki)
 
-    p_fit = sub.add_parser("fit", help="fit quasi-modular monomials")
+    p_fit = command(sub, _cmd_fit, "fit", help="fit quasi-modular monomials")
     p_fit.add_argument("--weight", type=int, required=True)
     p_fit.add_argument("--eta-exponent", type=int, required=True)
     p_fit.add_argument("--target", action="append", required=True,
                        metavar="EXP=VALUE",
                        help="coefficient constraint, repeatable")
-    add_common(p_fit)
-    p_fit.set_defaults(func=_cmd_fit)
 
+    # last, so that usage and --help list them after each command's own
+    for p in leaves:
+        p.add_argument("--order", type=int, default=None,
+                       help="truncation order (default 20, or ENUMGEO_ORDER)")
+        p.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 
 

@@ -88,6 +88,11 @@ class SurfaceData:
         return cls(betti=(1, 0, 10, 0, 1), chi_top=12, chi_O=1, p_g=0)
 
 
+#: the named surfaces of ``expand --surface`` and of the Göttsche check
+SURFACES = {"p2": SurfaceData.projective_plane, "k3": SurfaceData.k3,
+            "b9": SurfaceData.half_k3}
+
+
 def hilb_euler_series(surface: SurfaceData, order: int) -> QSeries:
     """Generating series of Hilbert-scheme Euler characteristics:
     prod(1 - q**m)**(-chi_top)."""

@@ -21,6 +21,10 @@ prod (1 - c*q**m)**e the logarithmic-derivative recurrence of
 second variable t, as Göttsche's product is.  Its product and
 ``_euler_product_t`` pack each t-polynomial into one integer and read it
 back with ``_t_poly``; no other module knows that packed format.
+
+Both classes raise ``SeriesError`` (a ``ValueError``) subclasses:
+``OrderExceeded``, also an ``IndexError``, for a coefficient outside the
+stored order, and ``VariableMismatch`` for operands in other variables.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ class ConstantTermNotOne(SeriesError):
     """log() of a series whose constant term is not one."""
 
 
-class OrderExceeded(SeriesError):
+class OrderExceeded(SeriesError, IndexError):
     """Coefficient index outside the stored truncation order."""
 
 
@@ -468,8 +472,8 @@ class BiSeries:
         polys = _padded([self._trim([index(c) for c in poly])
                          for poly in coeffs], order, (0,))
         for k, poly in enumerate(polys):
-            if len(poly) - 1 > 4 * k and any(poly[4 * k + 1:]):
-                raise ValueError(
+            if len(poly) - 1 > 4 * k:
+                raise SeriesError(
                     f"t-degree {len(poly) - 1} at q^{k} exceeds bound {4 * k}")
         object.__setattr__(self, "var_q", var_q)
         object.__setattr__(self, "var_t", var_t)
@@ -492,7 +496,8 @@ class BiSeries:
     def coefficient(self, k: int) -> tuple:
         """The t-polynomial at q**k, as a coefficient tuple."""
         if k < 0 or k > self.order:
-            raise IndexError(f"q-exponent {k} outside stored order {self.order}")
+            raise OrderExceeded(
+                f"coefficient {k} requested, stored order is {self.order}")
         return self.coeffs[k]
 
     def __mul__(self, other: "BiSeries") -> "BiSeries":
@@ -506,7 +511,7 @@ class BiSeries:
         if not isinstance(other, BiSeries):
             return NotImplemented
         if (self.var_q, self.var_t) != (other.var_q, other.var_t):
-            raise ValueError("variable names differ")
+            raise VariableMismatch("variable names differ")
         n = min(self.order, other.order) + 1
         fs, gs = self.coeffs[:n], other.coeffs[:n]
         g = gcd(*(a for p in chain(fs, gs) for a, c in enumerate(p) if c)) or 1

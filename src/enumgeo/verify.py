@@ -115,9 +115,8 @@ def check_lattice_relations(order: int) -> list:
 
 def check_goettsche_specialization(order: int) -> list:
     reports = []
-    for name, s in (("p2", inv.SurfaceData.projective_plane()),
-                    ("k3", inv.SurfaceData.k3()),
-                    ("b9", inv.SurfaceData.half_k3())):
+    for name, make in inv.SURFACES.items():
+        s = make()
         spec = inv.goettsche_series(s, order).eval_t(-1)
         hilb = inv.hilb_euler_series(s, order)
         reports.append(_report(

@@ -1,5 +1,6 @@
 """Command-line interface tests, run in-process through main(argv)."""
 
+import argparse
 import json
 import os
 import shutil
@@ -36,6 +37,13 @@ class TestExpandText(object):
         assert lines[1] == "q^0: 1"
         assert lines[2] == "q^1: 1 + t^2 + t^4"
         assert lines[3] == "q^2: 1 + 2*t^2 + 3*t^4 + 2*t^6 + t^8"
+
+    def test_hilb_euler_header_names_chi(self, capsys):
+        rc, out, _ = run_cli(capsys, "expand", "hilb-euler",
+                             "--surface", "k3", "--order", "2")
+        assert rc == 0
+        assert out.splitlines() == ["# hilb-euler surface=k3 chi=24 order=2 "
+                                    "shift=0", "1, 24, 324"]
 
     def test_half_k3_z1(self, capsys):
         rc, out, _ = run_cli(capsys, "expand", "half-k3-z1", "--order", "5")
@@ -333,6 +341,41 @@ class TestFit(object):
         rc, _, err = run_cli(capsys, "fit", "--weight", "4",
                              "--eta-exponent", "0", "--target", "abc")
         assert rc == 2
+
+
+def leaf_parsers(parser, path=()):
+    """(subcommand path, parser) for every parser that runs a command."""
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from leaf_parsers(child, path + (name,))
+
+
+class TestParser(object):
+    COMMON = "[--order ORDER] [--format {text,json}]"
+
+    def test_common_options_come_last_in_every_usage(self):
+        leaves = dict(leaf_parsers(cli.build_parser()))
+        assert len(leaves) == 12
+        for path, parser in leaves.items():
+            usage = " ".join(parser.format_usage().split())
+            assert usage.count(self.COMMON) == 1, path
+            after = usage.split(self.COMMON)[1].split()
+            options = [w for w in after if w.lstrip("[").startswith("-")]
+            assert options == [], path
+
+    def test_expand_targets_in_their_documented_order(self):
+        assert tuple(cli._EXPAND) == (
+            "eta-quotient", "eisenstein", "theta-e8", "hilb-euler",
+            "goettsche", "bryan-leung", "half-k3-z1")
+
+    def test_surface_choices_are_the_named_surfaces(self):
+        expand = dict(leaf_parsers(cli.build_parser()))["expand",]
+        surface = next(a for a in expand._actions if a.dest == "surface")
+        assert surface.choices == ("p2", "k3", "b9") == tuple(inv.SURFACES)
 
 
 class TestOrderResolution(object):

@@ -16,7 +16,6 @@ import importlib.util
 import json
 import re
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -96,14 +95,6 @@ def test_outputs_match_golden_digests(capsys, no_env_order, wall_files):
     assert mismatched == []
 
 
-def fit_targets(weight, variant):
-    """One target per monomial: (k, (k+1)^2), or (k, (-1)^k (2k+1)/(k+2))."""
-    count = len(mf.weight_monomials(weight))
-    if variant == 0:
-        return [(k, Fraction((k + 1) ** 2)) for k in range(count)]
-    return [(k, Fraction((-1) ** k * (2 * k + 1), k + 2)) for k in range(count)]
-
-
 def test_fits_match_golden_digests():
     fits = {}
     for key, want in goldens("highorder").items():
@@ -112,6 +103,7 @@ def test_fits_match_golden_digests():
         if match:
             fits[tuple(map(int, match.groups()))] = want
     assert len(fits) == 60
+    fit_targets = load_jobs().fit_targets
     mismatched = []
     for (weight, eta, variant), want in fits.items():
         fit = mf.fit_quasi_homogeneous(weight, eta,

@@ -318,6 +318,21 @@ class TestBiSeries(object):
         with pytest.raises(IndexError):
             g.coefficient(3)
 
+    def test_coefficient_outside_order_is_a_series_error(self):
+        with pytest.raises(SeriesError,
+                           match="coefficient 3 requested, stored order is 2"):
+            inv.BiSeries.one(2).coefficient(3)
+
+    def test_mismatched_variables_are_a_series_error(self):
+        with pytest.raises(SeriesError):
+            inv.BiSeries.one(2) * inv.BiSeries.one(2, var_t="s")
+
+    def test_degree_over_4k_is_a_series_error(self):
+        with pytest.raises(SeriesError, match="t-degree 5 at q\\^1"):
+            inv.BiSeries([(1,), (0, 0, 0, 0, 0, 1)], order=1)
+        trailing_zero = inv.BiSeries([(1,), (0, 0, 0, 0, 1, 0)], order=1)
+        assert trailing_zero.coeffs[1] == (0, 0, 0, 0, 1)
+
 
 class TestGoettsche(object):
     def test_q1_is_signed_betti_tuple(self):
