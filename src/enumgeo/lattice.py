@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 from math import isqrt
 from typing import Iterable, Sequence
 
@@ -218,8 +217,14 @@ def enumerate_vectors(lattice: SurfaceLattice, norm_max: int) -> dict:
     return {n: counts[n] for n in range(norm_max + 1)}
 
 
-@lru_cache(maxsize=32)
-def _exceptional_cached(k: int, degree_bound: int) -> tuple:
+def exceptional_classes(k: int, degree_bound: int = 6) -> list:
+    """All classes with K*beta = beta^2 = -1 on the k-point blowup,
+    searched over |beta . e0| <= degree_bound; sorted lexicographically."""
+    k, degree_bound = operator.index(k), operator.index(degree_bound)
+    if not 0 <= k <= 8:
+        raise ValueError(f"blowup count must be 0..8, got {k}")
+    if degree_bound < 0:
+        raise ValueError("degree bound must be >= 0")
     results = []
     for d in range(-degree_bound, degree_bound + 1):
         # K*beta = -1 and beta^2 = -1 pin the blowup coefficients:
@@ -228,8 +233,6 @@ def _exceptional_cached(k: int, degree_bound: int) -> tuple:
         partial = [0] * k
 
         def descend(i: int, rsum: int, rsq: int) -> None:
-            if rsq < 0:
-                return
             left = k - i
             if left == 0:
                 if rsum == 0 and rsq == 0:
@@ -244,16 +247,4 @@ def _exceptional_cached(k: int, degree_bound: int) -> tuple:
             partial[i] = 0
 
         descend(0, target_sum, target_sq)
-    return tuple(results)       # distinct, and in lexicographic order
-
-
-def exceptional_classes(k: int, degree_bound: int = 6) -> list:
-    """All classes with K*beta = beta^2 = -1 on the k-point blowup,
-    searched over |beta . e0| <= degree_bound; sorted lexicographically."""
-    # lru_cache would take 2.0 for 2, so floats are refused before the lookup
-    k, degree_bound = operator.index(k), operator.index(degree_bound)
-    if not 0 <= k <= 8:
-        raise ValueError(f"blowup count must be 0..8, got {k}")
-    if degree_bound < 0:
-        raise ValueError("degree bound must be >= 0")
-    return list(_exceptional_cached(k, degree_bound))
+    return results              # distinct, and in lexicographic order

@@ -584,8 +584,6 @@ def product_family(exponent: Callable[[int], int], order: int,
     The factors are expanded together by the integer logarithmic-derivative
     recurrence of ``_euler_product``; exponents must be integers.
     """
-    if order < 0:
-        raise SeriesError(f"order must be >= 0, got {order}")
     factors = []
     for m in range(1, order + 1):
         e = exponent(m)

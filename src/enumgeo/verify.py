@@ -165,26 +165,23 @@ def check_theta_cross_method(order: int) -> list:
 
 
 def check_del_pezzo_counts(order: int) -> list:
-    reports = []
-    got = tuple(len(lat.exceptional_classes(k, 7)) for k in range(1, 9))
-    reports.append(_report("del-pezzo-counts", got == _DEL_PEZZO_COUNTS,
-                           _DEL_PEZZO_COUNTS, got,
-                           "classical counts of (-1)-classes on blowups "
-                           "of the plane, 240 lines on the E8 del Pezzo"))
-    margin = all(max(abs(c[0]) for c in lat.exceptional_classes(k, 7))
-                 <= 6 for k in range(1, 9))
-    reports.append(_report("del-pezzo-degree-margin", margin,
-                           "no class of degree > 6 at bound 7", margin,
-                           "degree-bound saturation check for the search"))
-    return reports
+    found = [lat.exceptional_classes(k, 7) for k in range(1, 9)]
+    got = tuple(map(len, found))
+    margin = all(max(abs(c[0]) for c in classes) <= 6 for classes in found)
+    return [_report("del-pezzo-counts", got == _DEL_PEZZO_COUNTS,
+                    _DEL_PEZZO_COUNTS, got,
+                    "classical counts of (-1)-classes on blowups "
+                    "of the plane, 240 lines on the E8 del Pezzo"),
+            _report("del-pezzo-degree-margin", margin,
+                    "no class of degree > 6 at bound 7", margin,
+                    "degree-bound saturation check for the search")]
 
 
 def check_sw_plane(order: int) -> list:
     table = ((3, "+", 1), (1, "+", 0), (-3, "-", -1), (1, "-", 0))
-    ok_table = all(inv.sw_p2(c, ch) == want for c, ch, want in table)
-    reports = [_report("sw-plane-table", ok_table,
-                       [w for *_, w in table],
-                       [inv.sw_p2(c, ch) for c, ch, _ in table],
+    want = [w for *_, w in table]
+    got = [inv.sw_p2(c, ch) for c, ch, _ in table]
+    reports = [_report("sw-plane-table", got == want, want, got,
                        "chamber values of the plane Seiberg-Witten invariants")]
     wall = all(inv.sw_p2(c, "+") - inv.sw_p2(c, "-") == 1
                for c in (3, 5, -3, -5))

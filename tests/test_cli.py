@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from enumgeo import cli, invariants as inv, lattice as lat, modforms as mf
+from enumgeo import verify as ver
 from enumgeo.invariants import BiSeries
 from enumgeo.series import QSeries, product_family
 
@@ -139,6 +141,12 @@ class TestVerify(object):
             cli.main(["verify", "no-such-suite"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    def test_run_suite_unknown_name(self):
+        with pytest.raises(KeyError) as exc:
+            ver.run_suite("nope")
+        assert exc.value.args == (
+            "unknown suite 'nope'; have " + ", ".join(sorted(ver.SUITES)),)
 
 
 class TestLattice(object):
@@ -343,6 +351,25 @@ class TestFit(object):
         assert rc == 2
 
 
+class TestErrorLines(object):
+    @pytest.mark.parametrize("argv, line", [
+        (("fit", "--weight", "4", "--eta-exponent", "0", "--target", "0=abc"),
+         "error: bad rational 'abc': "),
+        (("lattice", "enumerate", "--norm-max", "-1"),
+         "error: norm_max must be >= 0"),
+    ], ids=["fit-bad-rational", "enumerate-negative-norm-max"])
+    def test_exit_2_with_one_error_line(self, capsys, argv, line):
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith(line)
+
+
+def subcommands(parser):
+    """Subcommand name -> parser, for a parser that has subcommands."""
+    return next(a.choices for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+
+
 def leaf_parsers(parser, path=()):
     """(subcommand path, parser) for every parser that runs a command."""
     subs = [a for a in parser._actions
@@ -366,6 +393,85 @@ class TestParser(object):
             after = usage.split(self.COMMON)[1].split()
             options = [w for w in after if w.lstrip("[").startswith("-")]
             assert options == [], path
+
+    SUBCOMMANDS = {
+        (): {"expand": "print a series expansion",
+             "verify": "run golden self-checks",
+             "lattice": "surface-lattice queries",
+             "sw": "Seiberg-Witten values",
+             "fit": "fit quasi-modular monomials"},
+        ("lattice",): {"pair": "pairing of two classes",
+                       "genus": "adjunction genus of a class",
+                       "signature": "signature of a sublattice",
+                       "enumerate": "E8 vector counts by norm",
+                       "exceptional": "classes with K.b = b.b = -1"},
+        ("sw",): {"p2": "plane invariant by chamber",
+                  "closed-form": "binomial closed form for p_g > 0",
+                  "dimension": "moduli dimension",
+                  "mochizuki": "wall-crossing sum from JSON"},
+    }
+    # each leaf's own options; None where the option has no help string
+    OPTIONS = {
+        ("expand",): {"--exponent": "eta-quotient exponent",
+                      "--weight": "Eisenstein weight",
+                      "--method": "theta-e8 method",
+                      "--surface": "surface for hilb-euler / goettsche",
+                      "--genus": "bryan-leung genus"},
+        ("verify",): {},
+        ("lattice", "pair"): {"--u": None, "--v": None},
+        ("lattice", "genus"): {"--beta": None},
+        ("lattice", "signature"): {"--sublattice": None},
+        ("lattice", "enumerate"): {"--norm-max": None},
+        ("lattice", "exceptional"): {
+            "--k": "number of blown-up points (1..8)",
+            "--bound": "search bound on |b . e0|"},
+        ("sw", "p2"): {"--c": "coefficient of the line class (odd)",
+                       "--chamber": None},
+        ("sw", "closed-form"): {"--d": None, "--pg": None},
+        ("sw", "dimension"): {"--c-sq": None, "--chi-top": None,
+                              "--sigma": None},
+        ("sw", "mochizuki"): {
+            "--file": "JSON with v, chi_v and the decompositions"},
+        ("fit",): {"--weight": None, "--eta-exponent": None,
+                   "--target": "coefficient constraint, repeatable"},
+    }
+    COMMON_OPTIONS = {
+        "--order": "truncation order (default 20, or ENUMGEO_ORDER)",
+        "--format": None}
+
+    @staticmethod
+    def help_text(parser):
+        """``format_help()`` with whitespace collapsed, so line breaks and
+        column widths do not matter.  The width is still fixed by the
+        callers: argparse may also break a line after a hyphen."""
+        return " ".join(parser.format_help().split())
+
+    def test_help_lists_every_subcommand_with_its_help(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        root = cli.build_parser()
+        for path, helps in self.SUBCOMMANDS.items():
+            parser = root
+            for name in path:
+                parser = subcommands(parser)[name]
+            assert list(subcommands(parser)) == list(helps), path
+            text = self.help_text(parser)
+            for name, text_help in helps.items():
+                assert f" {name} {text_help}" in text, (path, name)
+
+    def test_help_lists_every_option_with_its_help(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        leaves = dict(leaf_parsers(cli.build_parser()))
+        assert list(leaves) == list(self.OPTIONS)
+        for path, own in self.OPTIONS.items():
+            parser = leaves[path]
+            options = {**own, **self.COMMON_OPTIONS}
+            declared = {s for a in parser._actions for s in a.option_strings}
+            assert declared - {"-h", "--help"} == set(options), path
+            text = self.help_text(parser)
+            for option, text_help in options.items():
+                tail = f" {re.escape(text_help)}" if text_help else "(?= |$)"
+                pattern = rf"(?<!\S){re.escape(option)}(?: \S+)?{tail}"
+                assert re.search(pattern, text), (path, option)
 
     def test_expand_targets_in_their_documented_order(self):
         assert tuple(cli._EXPAND) == (

@@ -8,10 +8,11 @@ of its canonical JSON outcome, or to ``"exit2"`` for a malformed request.
 The file is only read here.  The long E8 scans (``--method lattice``,
 ``verify all``, ``verify theta-cross-method`` and ``lattice enumerate`` at
 norms of 10 and more) are left to the benchmark for time.  The ``@``-tokens
-name wall files, which the benchmark's own ``write_wall_files`` writes.
+name wall files, which the benchmark's own ``write_wall_files`` writes;
+digests are taken with its ``digest``, the function the goldens were made
+with.
 """
 
-import hashlib
 import importlib.util
 import json
 import re
@@ -42,11 +43,6 @@ def load_jobs():
 def goldens(workload):
     with GOLDENS.open(encoding="utf-8") as fh:
         return json.load(fh)[workload]
-
-
-def digest(value):
-    text = json.dumps(value, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def replayed():
@@ -86,6 +82,7 @@ def test_replay_covers_every_kind_of_request():
 
 
 def test_outputs_match_golden_digests(capsys, no_env_order, wall_files):
+    digest = load_jobs().digest
     mismatched = []
     for key, want in replayed().items():
         if want == "exit2":
@@ -103,7 +100,8 @@ def test_fits_match_golden_digests():
         if match:
             fits[tuple(map(int, match.groups()))] = want
     assert len(fits) == 60
-    fit_targets = load_jobs().fit_targets
+    jobs = load_jobs()
+    digest, fit_targets = jobs.digest, jobs.fit_targets
     mismatched = []
     for (weight, eta, variant), want in fits.items():
         fit = mf.fit_quasi_homogeneous(weight, eta,

@@ -687,7 +687,7 @@ class TestExactInputs(object):
         lambda: inv.sw_p2(3.0, "+"),
         lambda: mf.divisor_sigma(6, 1.5),
         lambda: mf.divisor_sigma(6.0, 1),
-        # the first call warms the cache that 2.0 would otherwise hit
+        # after a call with 2, a cache keyed by value would answer 2.0
         lambda: (lat.exceptional_classes(2, 6),
                  lat.exceptional_classes(2.0, 6)),
         lambda: (lat.exceptional_classes(2, 6),

@@ -319,6 +319,29 @@ class TestExceptional(object):
             lat.exceptional_classes(-1)
 
 
+class TestErrorPaths(object):
+    @pytest.mark.parametrize("call, cls, message", [
+        (lambda: lat.SurfaceLattice(rank=2, gram=((1, 0),),
+                                    basis_labels=("a", "b")),
+         lat.DimensionMismatch, "gram must be 2x2"),
+        (lambda: lat.SurfaceLattice(rank=1, gram=((1,),), basis_labels=()),
+         lat.DimensionMismatch, "one label per basis vector required"),
+        (lambda: lat.e8_lattice().adjunction_genus((1,) + (0,) * 7),
+         lat.NoCanonicalClass, "lattice has no canonical class"),
+        (lambda: lat.make_del_pezzo(9),
+         ValueError, "del Pezzo blowup count must be 0..8, got 9"),
+        (lambda: lat.enumerate_vectors(lat.e8_lattice(), -1),
+         ValueError, "norm_max must be >= 0"),
+        (lambda: lat.exceptional_classes(2, -1),
+         ValueError, "degree bound must be >= 0"),
+    ], ids=["gram-shape", "label-count", "no-canonical", "del-pezzo-9",
+            "negative-norm-max", "negative-degree-bound"])
+    def test_raises(self, call, cls, message):
+        with pytest.raises(cls) as exc:
+            call()
+        assert type(exc.value) is cls and exc.value.args == (message,)
+
+
 class TestValidation(object):
     def test_asymmetric_gram_rejected(self):
         with pytest.raises(ValueError):

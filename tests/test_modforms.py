@@ -437,3 +437,22 @@ class TestFit:
         d = fit.to_json_dict()
         assert d["consistent"] is True
         assert set(d["particular"]) == {"0,1,0", "2,0,0"}
+
+
+class TestErrorPaths:
+    @pytest.mark.parametrize("call, cls, message", [
+        (lambda: mf.divisor_sigma(0, 1), ValueError, "n must be >= 1"),
+        (lambda: mf.eta_quotient(2.5, 5),
+         TypeError, "eta exponent must be an integer"),
+        (lambda: mf.solve_exact([[1, 0], [0, 1]], [1]),
+         ValueError, "one right-hand side per row required"),
+        (lambda: mf.solve_exact([[1, 0], [1]], [1, 2]),
+         ValueError, "ragged coefficient matrix"),
+        (lambda: mf.fit_quasi_homogeneous(4, 0, [(0, 1), (-1, 2)]),
+         ValueError, "target exponents must be >= 0"),
+    ], ids=["divisor-sigma-n-0", "eta-float-exponent", "too-few-rhs",
+            "ragged-rows", "negative-target-exponent"])
+    def test_raises(self, call, cls, message):
+        with pytest.raises(cls) as exc:
+            call()
+        assert type(exc.value) is cls and exc.value.args == (message,)

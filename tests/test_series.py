@@ -266,6 +266,11 @@ class TestProductFamily:
         for chi in (1, 12, 24):
             assert base ** chi == product_family(lambda m: -chi, 15)
 
+    def test_negative_order_rejected(self):
+        with pytest.raises(SeriesError) as exc:
+            product_family(lambda m: 1, -1)
+        assert exc.value.args == ("order must be >= 0, got -1",)
+
     def test_non_integer_exponent_rejected(self):
         with pytest.raises(TypeError):
             product_family(lambda m: 0.5, 4)
@@ -566,6 +571,54 @@ class TestErrors:
     def test_truncate_cannot_extend(self):
         with pytest.raises(OrderExceeded):
             QSeries([1, 2]).truncate(5)
+
+
+class TestErrorPaths:
+    @pytest.mark.parametrize("call, cls, message", [
+        (lambda: QSeries.gen(0), SeriesError, "gen needs order >= 1"),
+        (lambda: QSeries([1, 2]) / 0,
+         ZeroDivisionError, "division of a series by zero"),
+        (lambda: QSeries([1, 2], shift=1).log(),
+         ShiftMismatch, "log requires shift 0"),
+        (lambda: QSeries([1]) + "x", TypeError,
+         "unsupported operand type(s) for +: 'QSeries' and 'str'"),
+        (lambda: QSeries([1]) - "x", TypeError,
+         "unsupported operand type(s) for -: 'QSeries' and 'str'"),
+        (lambda: "x" - QSeries([1]), TypeError,
+         "unsupported operand type(s) for -: 'str' and 'QSeries'"),
+        (lambda: QSeries([1]) * "x", TypeError,
+         "can't multiply sequence by non-int of type 'QSeries'"),
+        (lambda: QSeries([1]) / "x", TypeError,
+         "unsupported operand type(s) for /: 'QSeries' and 'str'"),
+        (lambda: QSeries([1]) ** "x", TypeError,
+         "unsupported operand type(s) for ** or pow(): 'QSeries' and 'str'"),
+        (lambda: BiSeries.one(2) * 2, TypeError,
+         "unsupported operand type(s) for *: 'BiSeries' and 'int'"),
+        (lambda: setattr(BiSeries.one(2), "order", 3),
+         AttributeError, "BiSeries is immutable"),
+        (lambda: int_binomial(3, -1),
+         ValueError, "lower index must be non-negative"),
+    ], ids=["gen-order-0", "divide-by-0", "log-shifted", "add-str",
+            "sub-str", "str-sub", "mul-str", "div-str", "pow-str",
+            "biseries-mul-int", "biseries-setattr", "int-binomial-j-neg"])
+    def test_raises(self, call, cls, message):
+        with pytest.raises(cls) as exc:
+            call()
+        assert type(exc.value) is cls and exc.value.args == (message,)
+
+    @pytest.mark.parametrize("call, want", [
+        (lambda: repr(QSeries.gen(3)),
+         "QSeries('q', order=3, shift=0, coeffs=(0, 1, 0, 0))"),
+        (lambda: repr(QSeries.constant(3, 9)),
+         "QSeries('q', order=9, shift=0, coeffs=(3, 0, 0, 0, 0, 0, 0, 0, ...))"),
+        (lambda: repr(1 - QSeries([1, 2], order=2)),
+         "QSeries('q', order=2, shift=0, coeffs=(0, -2, 0))"),
+        (lambda: QSeries([1]) == "x", False),
+        (lambda: BiSeries.one(2) == 1, False),
+    ], ids=["gen-3", "constant-order-9", "int-minus-series", "eq-str",
+            "biseries-eq-int"])
+    def test_edge_values(self, call, want):
+        assert call() == want
 
 
 class TestSerialization:
