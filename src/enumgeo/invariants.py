@@ -14,12 +14,13 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import add, sub
 from typing import Sequence, Union
 
 from .lattice import ParityViolation
 from .modforms import divisor_sigma, theta_e8
-from .series import (BiSeries, QSeries, _as_fraction, _euler_product_t,
-                     product_family)
+from .series import (BiSeries, QSeries, _as_fraction, _eta_power,
+                     _euler_product_t, product_family)
 
 Rational = Union[int, Fraction]
 
@@ -100,19 +101,63 @@ def hilb_euler_series(surface: SurfaceData, order: int) -> QSeries:
     return product_family(lambda m: -chi, order)
 
 
+def _goettsche_lerch(b2: int, order: int) -> list:
+    """Göttsche's product for the Betti numbers (1, 0, b2, 0, 1), as
+    t-polynomials at q**0..q**order.  With x = t**2 and Q = t**2*q its
+    factors are 1/((1 - Q**m/x)(1 - Q**m)**b2 (1 - x*Q**m)), and the
+    Appell-Lerch expansion of 1/theta_1 (Zwegers) makes it
+
+        (1 - x) * sum_{n in Z} (-1)**n Q**(n(n+1)/2) / (1 - x*Q**n)
+                * prod (1 - Q**m)**(-chi),    chi = b2 + 2.
+
+    The n = 0 term is 1.  A term n > 0 expands to
+    (-1)**n sum_{a>=0} x**a Q**(n(n+1)/2 + n*a), a term n = -m < 0 to
+    (-1)**(m+1) sum_{a>=1} x**(-a) Q**(m(m-1)/2 + m*a).  At q**j a term
+    x**a Q**k meets e_(j-k) Q**(j-k), e the coefficients of the eta
+    power, and Q**j x**a is t**(2j+2a) q**j.
+    """
+    e = _eta_power(-(b2 + 2), order)
+    rows = []
+    for j in range(order + 1):
+        # v[j + a]: the x**a coefficient at q**j of the sum over n != 0
+        v = [0] * (2 * j)
+        n = 1
+        while (k := n * (n + 1) // 2) <= j:
+            terms = e[j - k::-n]  # e_(j-k-n*a) for a = 0, 1, ...
+            top = j + len(terms)
+            v[j:top] = map(sub if n % 2 else add, v[j:top], terms)
+            n += 1
+        m = 1
+        while (k := m * (m - 1) // 2 + m) <= j:
+            terms = e[j - k::-m][::-1]  # e_(j-k-m*(a-1)) for a = ..., 2, 1
+            low = j - len(terms)
+            v[low:j] = map(add if m % 2 else sub, v[low:j], terms)
+            m += 1
+        poly = list(map(sub, v + [0], [0] + v))  # (1 - x)*v, x**-j..x**j
+        poly[j] += e[j]
+        row = [0] * (4 * j + 1)
+        row[::2] = poly
+        rows.append(row)
+    return rows
+
+
 def goettsche_series(surface: SurfaceData, order: int) -> BiSeries:
     """Göttsche's product for Hilbert-scheme Betti numbers.
 
     For each m >= 1 the five factors (1 - (-t)**(2m-2+i) q**m) enter with
     exponent (-1)**(i+1) b_i, i = 0..4.  The q**k coefficient is the
     Poincaré polynomial of the k-point Hilbert scheme; t = -1 recovers the
-    Euler-characteristic series.  All factors are expanded at once by the
-    integer Euler-product recurrence with t**g packed as a power of two,
-    g the gcd of the exponents 2m-2+i (1 if that is 0).  On the plane, K3
-    and B9 (b1 = b3 = 0) g = 2 at every order from 1 on; where b1 or b3 is
-    nonzero g = 1, the plain packing in t.
+    Euler-characteristic series.  Betti numbers (1, 0, b2, 0, 1), every
+    preset among them, take the Appell-Lerch sum of ``_goettsche_lerch``
+    times the eta power of ``_eta_power``.  Every other Betti vector
+    (b1 or b3 nonzero, or b0 or b4 not 1) keeps the packed path: all
+    factors are expanded at once by the integer Euler-product recurrence
+    with t**g packed as a power of two, g the gcd of the exponents
+    2m-2+i (1 if that is 0).
     """
     b = surface.betti
+    if (b[0], b[1], b[3], b[4]) == (1, 0, 0, 1):
+        return BiSeries(_goettsche_lerch(b[2], order), order=order)
     factors = [(m, 2 * m - 2 + i, (-1) ** i, b[i] if i % 2 else -b[i])
                for m in range(1, order + 1) for i in range(5) if b[i]]
     return BiSeries(_euler_product_t(factors, order), order=order)

@@ -18,7 +18,7 @@ from functools import lru_cache, reduce
 from typing import Sequence
 
 from . import lattice as _lattice
-from .series import (QSeries, SeriesError, _as_fraction, _euler_product,
+from .series import (QSeries, SeriesError, _as_fraction, _eta_power,
                      _product, _scaled, product_family)
 
 #: weight -> (prefactor of the divisor sum, divisor power)
@@ -247,8 +247,7 @@ def _fit_columns(monomials: Sequence, eta_exponent: int,
     comes from one chain of powers, and the column is E2^i * T(j, k).
     """
     e2, e4, e6 = (_eisenstein_ints(w, order) for w in (2, 4, 6))
-    tails = {(0, 0): _euler_product(
-        [(m, 1, eta_exponent) for m in range(1, order + 1)], order)}
+    tails = {(0, 0): _eta_power(eta_exponent, order)}
     for j, k in sorted({(j, k) for _, j, k in monomials} - {(0, 0)},
                        key=lambda jk: jk[::-1]):
         tails[j, k] = (_product(tails[j - 1, k], e4) if j

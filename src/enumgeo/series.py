@@ -13,14 +13,18 @@ here ever rounds.
 Every operation runs on Python integers over common denominators.  A
 product packs each operand's numerators into one integer and multiplies
 once (Kronecker substitution, ``_product``).  Quotients, inverse, log and
-exp are forward substitutions (``_substitute``), and infinite products
-prod (1 - c*q**m)**e the logarithmic-derivative recurrence of
-``_euler_product``.
+exp are forward substitutions (``_substitute``).  A power of Euler's
+function prod (1 - q**m)**e comes from the pentagonal series
+(``_eta_power``), and any other infinite product prod (1 - c*q**m)**e
+from the logarithmic-derivative recurrence of ``_euler_product``.
 
 ``BiSeries`` is a q-series whose coefficients are integer polynomials in a
 second variable t, as Göttsche's product is.  Its product and
 ``_euler_product_t`` pack each t-polynomial into one integer and read it
-back with ``_t_poly``; no other module knows that packed format.
+back with ``_t_poly``; no other module knows that packed format.  The
+Göttsche product of Betti numbers (1, 0, b2, 0, 1) needs no packing:
+``invariants`` builds it from an Appell-Lerch sum and ``_eta_power``;
+every other Betti vector keeps the packed ``_euler_product_t``.
 
 Both classes raise ``SeriesError`` (a ``ValueError``) subclasses:
 ``OrderExceeded``, also an ``IndexError``, for a coefficient outside the
@@ -151,6 +155,29 @@ def _euler_product(factors: Iterable, order: int) -> list:
     return f
 
 
+def _eta_power(e: int, order: int) -> list:
+    """f_0..f_order of prod (1 - q**m)**e for an integer e.  Euler's
+    pentagonal theorem gives the O(sqrt(order)) nonzero terms p_k of
+    prod (1 - q**m) = sum_j (-1)**j q**(j(3j-1)/2), j in Z, and
+    J. C. P. Miller's power recurrence
+    n*f_n = sum_k ((e + 1)*k - n)*p_k*f_(n-k) divides exactly by n."""
+    pentagonal = []
+    j = 1
+    while (k := j * (3 * j - 1) // 2) <= order:
+        sign = -1 if j % 2 else 1
+        pentagonal += [(k, sign), (k + j, sign)]
+        j += 1
+    f = [1]
+    for n in range(1, order + 1):
+        s = 0
+        for k, p in pentagonal:
+            if k > n:
+                break
+            s += ((e + 1) * k - n) * p * f[n - k]
+        f.append(s // n)
+    return f
+
+
 def _t_poly(value: int, width: int, g: int) -> list:
     """The t-polynomial sum(d_i * t**(g*i)) of the signed digits d_i that
     ``_pack`` wrote into ``value``: all its bits and one more, rounded up
@@ -166,10 +193,14 @@ def _euler_product_t(factors: list, order: int) -> list:
     """prod (1 - s*t**a*q**m)**e over (m, a, s, e), s = +-1, as integer
     t-polynomials at q**0..q**order.  Every a is a multiple of g, the gcd
     of the a (1 if that is 0), so this is ``_euler_product`` in t**g at
-    t**g = 2**(8*width), spread back to stride g.  The majorant
-    prod (1 - q**m)**(-|e|) bounds every t-coefficient."""
-    majorant = _euler_product([(m, 1, -abs(e)) for m, _, _, e in factors],
-                              order)
+    t**g = 2**(8*width), spread back to stride g.  Every t-coefficient is
+    bounded by that of prod (1 - q**m)**(-|e|), hence by the majorant
+    prod (1 - q**m)**(-E), E the largest sum of the |e| that share an m:
+    (1 - q**m)**(-1) has non-negative coefficients."""
+    sums = {}
+    for m, _, _, e in factors:
+        sums[m] = sums.get(m, 0) + abs(e)
+    majorant = _eta_power(-max(sums.values(), default=0), order)
     width = _width(max(majorant))
     g = gcd(*(a for _, a, _, _ in factors)) or 1
     values = _euler_product([(m, s << (8 * width * (a // g)), e)
@@ -581,13 +612,20 @@ def product_family(exponent: Callable[[int], int], order: int,
                    var: str = "q") -> QSeries:
     """prod_{m=1..order} (1 - q**m)**exponent(m), truncated at ``order``.
 
-    The factors are expanded together by the integer logarithmic-derivative
-    recurrence of ``_euler_product``; exponents must be integers.
+    Exponents must be integers.  When they are all equal, the product is
+    a power of Euler's function, expanded from the pentagonal series by
+    ``_eta_power``; otherwise the factors are expanded together by the
+    integer logarithmic-derivative recurrence of ``_euler_product``.
     """
-    factors = []
+    exponents = []
     for m in range(1, order + 1):
         e = exponent(m)
         if not isinstance(e, int):
             raise TypeError(f"exponent({m}) = {e!r} is not an integer")
-        factors.append((m, 1, e))
-    return QSeries(_euler_product(factors, order), var=var, order=order)
+        exponents.append(e)
+    if len(set(exponents)) > 1:
+        coeffs = _euler_product([(m, 1, e) for m, e in
+                                 enumerate(exponents, 1)], order)
+    else:
+        coeffs = _eta_power(exponents[0] if exponents else 0, order)
+    return QSeries(coeffs, var=var, order=order)

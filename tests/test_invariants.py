@@ -102,10 +102,20 @@ def trim(poly):
     return poly or [0]
 
 
-#: the three presets, two surfaces with b1 != 0 (an abelian surface and
-#: a ruled surface over an elliptic curve), whose polynomials carry signs,
-#: and two Betti tuples whose t-exponents at order 1 have gcd 4 (b0, b4)
-#: and gcd 0 (b0 alone), so goettsche_series packs in neither t nor t^2
+def goettsche_packed(surface, order):
+    """Oracle: Göttsche's product through the packed Euler-product path,
+    which ``goettsche_series`` keeps for Betti vectors other than
+    (1, 0, b2, 0, 1)."""
+    b = surface.betti
+    factors = [(m, 2 * m - 2 + i, (-1) ** i, b[i] if i % 2 else -b[i])
+               for m in range(1, order + 1) for i in range(5) if b[i]]
+    return inv.BiSeries(_euler_product_t(factors, order), order=order)
+
+
+#: the three presets and (1, 0, 0, 0, 1) take the Appell-Lerch path; two
+#: surfaces with b1 != 0 (an abelian surface and a ruled surface over an
+#: elliptic curve), whose polynomials carry signs, and b0 alone, whose
+#: t-exponents at order 1 have gcd 0, keep the packed path
 GOETTSCHE_SURFACES = {
     "p2": inv.SurfaceData.projective_plane(),
     "k3": inv.SurfaceData.k3(),
@@ -373,13 +383,27 @@ class TestGoettsche(object):
             assert list(got.coeffs) == expected
 
     def test_polynomials_are_palindromic(self):
-        # Poincare duality of the punctual Hilbert scheme: the degree-4k
-        # polynomial at q^k reads the same in both directions
-        g = inv.goettsche_series(inv.SurfaceData.half_k3(), 6)
-        for k in range(1, 7):
-            poly = list(g.coefficient(k))
-            poly += [0] * (4 * k + 1 - len(poly))
-            assert poly == poly[::-1]
+        # Poincare duality on the 2k-dimensional Hilbert scheme of k
+        # points: the polynomial at q^k has degree 4k and reads the same in
+        # both directions.  At t = -1 the Appell-Lerch sum collapses to 1,
+        # so the t = -1 check holds by construction on these surfaces;
+        # this one does not.
+        for name, make in inv.SURFACES.items():
+            g = inv.goettsche_series(make(), 60)
+            for k in range(61):
+                poly = g.coefficient(k)
+                assert len(poly) == 4 * k + 1, (name, k)
+                assert poly == poly[::-1], (name, k)
+
+    @pytest.mark.parametrize("name, k, even", [
+        ("p2", 3, (1, 2, 5, 6, 5, 2, 1)),
+        ("k3", 2, (1, 23, 276, 23, 1)),
+    ], ids=["hilb3-p2", "hilb2-k3"])
+    def test_hilbert_scheme_betti_numbers(self, name, k, even):
+        # Hilb^2 of the plane is test_p2_length_two
+        poly = inv.goettsche_series(inv.SURFACES[name](), 4).coefficient(k)
+        assert poly[::2] == even
+        assert not any(poly[1::2])
 
     def test_p2_length_two(self):
         g = inv.goettsche_series(inv.SurfaceData.projective_plane(), 2)
@@ -392,6 +416,20 @@ class TestGoettsche(object):
         g = inv.goettsche_series(surface, order)
         assert g.order == order
         assert g.coeffs == goettsche_by_factors(surface, order).coeffs
+
+    @pytest.mark.parametrize("name", ["p2", "k3", "b9", "b0-b4"])
+    def test_appell_lerch_matches_packed_path(self, name):
+        surface = GOETTSCHE_SURFACES[name]
+        oracle = goettsche_packed(surface, 60).coeffs
+        for order in range(61):
+            g = inv.goettsche_series(surface, order)
+            assert g.order == order
+            assert g.coeffs == oracle[:order + 1]
+
+    def test_appell_lerch_matches_packed_path_on_k3_at_order_100(self):
+        k3 = inv.SurfaceData.k3()
+        assert (inv.goettsche_series(k3, 100).coeffs
+                == goettsche_packed(k3, 100).coeffs)
 
 
 class TestEulerProductT(object):
@@ -408,6 +446,13 @@ class TestEulerProductT(object):
                        for _ in range(rng.randint(0, 6))]
             got = [tuple(trim(p)) for p in _euler_product_t(factors, order)]
             assert got == euler_product_t_schoolbook(factors, order), factors
+
+    def test_width_from_largest_per_m_sum(self):
+        # at m = 1 the |e| sum is 1, at m = 3 it is 40: binomial(20, 3)
+        # digits need more than the one byte that the m = 1 sum would give
+        factors = [(1, 0, 1, 1), (3, 2, 1, -20), (3, 4, -1, -20)]
+        got = [tuple(trim(p)) for p in _euler_product_t(factors, 9)]
+        assert got == euler_product_t_schoolbook(factors, 9)
 
 
 class TestBryanLeung(object):

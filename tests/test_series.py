@@ -20,6 +20,7 @@ from enumgeo.series import (
     OrderExceeded,
     int_binomial,
     product_family,
+    _eta_power,
     _euler_product,
     _pack,
     _poly_str,
@@ -281,6 +282,17 @@ class TestProductFamily:
         with pytest.raises(ArithmeticError):
             _euler_product([(1, Fraction(1, 2), 1)], 1)
 
+    def test_unequal_exponents_match_euler_product(self):
+        # unequal exponents bypass the pentagonal kernel
+        for order in (2, 5, 30, 100):
+            f = product_family(lambda m: m % 3 - 1, order)
+            factors = [(m, 1, m % 3 - 1) for m in range(1, order + 1)]
+            assert f.coefficients() == tuple(_euler_product(factors, order))
+
+    def test_non_integer_exponent_after_equal_ints_rejected(self):
+        with pytest.raises(TypeError, match=r"exponent\(4\) = Fraction"):
+            product_family(lambda m: 2 if m < 4 else Fraction(5, 2), 6)
+
     @pytest.mark.parametrize("exponent", [
         lambda m: -24, lambda m: 8, lambda m: 0, lambda m: m % 3 - 1,
     ], ids=["-24", "8", "0", "m%3-1"])
@@ -292,6 +304,14 @@ class TestProductFamily:
             f = product_family(exponent, order)
             assert f.order == order
             assert f.coefficients() == tuple(expect[:order + 1])
+
+
+class TestEtaPower:
+    @pytest.mark.parametrize("e", [-24, -12, -1, 0, 8, 24])
+    @pytest.mark.parametrize("order", [0, 1, 30, 200, 600])
+    def test_matches_euler_product(self, e, order):
+        factors = [(m, 1, e) for m in range(1, order + 1)]
+        assert _eta_power(e, order) == _euler_product(factors, order)
 
 
 class TestRingAxioms:
