@@ -110,33 +110,28 @@ def _goettsche_lerch(b2: int, order: int) -> list:
         (1 - x) * sum_{n in Z} (-1)**n Q**(n(n+1)/2) / (1 - x*Q**n)
                 * prod (1 - Q**m)**(-chi),    chi = b2 + 2.
 
-    The n = 0 term is 1.  A term n > 0 expands to
-    (-1)**n sum_{a>=0} x**a Q**(n(n+1)/2 + n*a), a term n = -m < 0 to
-    (-1)**(m+1) sum_{a>=1} x**(-a) Q**(m(m-1)/2 + m*a).  At q**j a term
-    x**a Q**k meets e_(j-k) Q**(j-k), e the coefficients of the eta
-    power, and Q**j x**a is t**(2j+2a) q**j.
+    At q**j a term x**a Q**k meets e_(j-k) Q**(j-k), e the coefficients
+    of the eta power, and Q**j x**a is t**(2j+2a) q**j.  The n = 0 term
+    is 1, and v_a is the x**a coefficient at q**j of the terms n > 0,
+    (-1)**n sum_{a>=0} x**a Q**(n(n+1)/2 + n*a).  Under x -> 1/x the
+    factors swap and (1 - Q**m)**b2 is fixed, so the polynomial P at q**j
+    has P_(-a) = P_a, and P_a = v_a - v_(a-1) for a >= 1.  The terms
+    n = -m < 0 sit at x**(-a), a >= 1; after the factor (1 - x) only
+    a = 1 reaches x**0, at (-1)**(m+1) e_(j - m(m+1)/2), which sum over
+    m to -v_0, so P_0 = e_j + 2*v_0.
     """
     e = _eta_power(-(b2 + 2), order)
     rows = []
     for j in range(order + 1):
-        # v[j + a]: the x**a coefficient at q**j of the sum over n != 0
-        v = [0] * (2 * j)
+        v = [0] * (j + 1)
         n = 1
         while (k := n * (n + 1) // 2) <= j:
             terms = e[j - k::-n]  # e_(j-k-n*a) for a = 0, 1, ...
-            top = j + len(terms)
-            v[j:top] = map(sub if n % 2 else add, v[j:top], terms)
+            v[:len(terms)] = map(sub if n % 2 else add, v, terms)
             n += 1
-        m = 1
-        while (k := m * (m - 1) // 2 + m) <= j:
-            terms = e[j - k::-m][::-1]  # e_(j-k-m*(a-1)) for a = ..., 2, 1
-            low = j - len(terms)
-            v[low:j] = map(add if m % 2 else sub, v[low:j], terms)
-            m += 1
-        poly = list(map(sub, v + [0], [0] + v))  # (1 - x)*v, x**-j..x**j
-        poly[j] += e[j]
+        half = [e[j] + 2 * v[0], *map(sub, v[1:], v)]  # P_0..P_j
         row = [0] * (4 * j + 1)
-        row[::2] = poly
+        row[::2] = half[:0:-1] + half  # P_j..P_1, P_0..P_j
         rows.append(row)
     return rows
 
