@@ -5,6 +5,11 @@ lattice (pairings, signatures, vector counts, exceptional classes),
 sw (Seiberg-Witten values and wall-crossing sums), fit (exact linear
 fitting of quasi-modular polynomials).
 
+Each request builds only its own command's parsers: the root, the group
+(``lattice`` or ``sw``) if there is one, and the leaf.  Argparse errors, and
+help on the root or a group, come from the full tree, so their text is the
+same as when every parser is built.
+
 Exit codes: 0 success, 1 failed verification, 2 malformed input.
 The environment variable ENUMGEO_ORDER overrides the default order 20.
 The surfaces named by ``--surface`` are those of ``invariants.SURFACES``.
@@ -275,101 +280,126 @@ def _cmd_fit(args) -> int:
 
 # -- parser ------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _Fallback(Exception):
+    """Raised by a path tree's parsers instead of printing an error."""
+
+
+class _PathParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _Fallback(message)
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The full argparse tree, or, given argv, only the parsers on argv's
+    command path: the root, the group (``lattice`` or ``sw``) if there is
+    one, and the leaf.  A path tree's parsers raise ``_Fallback`` from
+    ``error()`` instead of printing, and argv that names no leaf gets the
+    full tree; the full tree prints every error and all group help."""
+    words = None if argv is None else list(argv[:2])
+    parser = (argparse.ArgumentParser if words is None else _PathParser)(
         prog="enumgeo",
         description="Exact q-series, modular forms and surface-lattice "
                     "arithmetic for enumerative invariants.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     leaves = []
 
-    def command(sub, func, name, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(func=func)
-        leaves.append(p)
+    def subparser(sub, path, **kwargs):
+        """The parser of ``path`` ("sw p2"), or None off argv's path."""
+        names = path.split()
+        if sub is None or words is not None and words[:len(names)] != names:
+            return None
+        return sub.add_parser(names[-1], **kwargs)
+
+    def group(sub, path, **kwargs):
+        p = subparser(sub, path, **kwargs)
+        return p and p.add_subparsers(dest="query", required=True)
+
+    def command(sub, path, func, **kwargs):
+        p = subparser(sub, path, **kwargs)
+        if p:
+            p.set_defaults(func=func)
+            leaves.append(p)
         return p
 
-    p_expand = command(sub, _cmd_expand, "expand",
-                       help="print a series expansion")
-    p_expand.add_argument("target", choices=tuple(_EXPAND))
-    p_expand.add_argument("--exponent", type=int, default=-12,
-                          help="eta-quotient exponent")
-    p_expand.add_argument("--weight", type=int, choices=(2, 4, 6), default=4,
-                          help="Eisenstein weight")
-    p_expand.add_argument("--method", choices=("eisenstein", "lattice"),
-                          default="eisenstein", help="theta-e8 method")
-    p_expand.add_argument("--surface", choices=tuple(inv.SURFACES),
-                          default="b9",
-                          help="surface for hilb-euler / goettsche")
-    p_expand.add_argument("--genus", type=int, default=0,
-                          help="bryan-leung genus")
+    if p := command(sub, "expand", _cmd_expand,
+                    help="print a series expansion"):
+        p.add_argument("target", choices=tuple(_EXPAND))
+        p.add_argument("--exponent", type=int, default=-12,
+                       help="eta-quotient exponent")
+        p.add_argument("--weight", type=int, choices=(2, 4, 6), default=4,
+                       help="Eisenstein weight")
+        p.add_argument("--method", choices=("eisenstein", "lattice"),
+                       default="eisenstein", help="theta-e8 method")
+        p.add_argument("--surface", choices=tuple(inv.SURFACES),
+                       default="b9", help="surface for hilb-euler / goettsche")
+        p.add_argument("--genus", type=int, default=0,
+                       help="bryan-leung genus")
 
-    p_verify = command(sub, _cmd_verify, "verify",
-                       help="run golden self-checks")
-    p_verify.add_argument("suite", nargs="?", default="all",
-                          choices=tuple(sorted(ver.SUITES)))
+    if p := command(sub, "verify", _cmd_verify, help="run golden self-checks"):
+        p.add_argument("suite", nargs="?", default="all",
+                       choices=tuple(sorted(ver.SUITES)))
 
-    p_lat = sub.add_parser("lattice", help="surface-lattice queries")
-    lat_sub = p_lat.add_subparsers(dest="query", required=True)
+    lat_sub = group(sub, "lattice", help="surface-lattice queries")
 
-    p_pair = command(lat_sub, _cmd_lattice_pair, "pair",
-                     help="pairing of two classes")
-    p_pair.add_argument("--u", required=True)
-    p_pair.add_argument("--v", required=True)
+    if p := command(lat_sub, "lattice pair", _cmd_lattice_pair,
+                    help="pairing of two classes"):
+        p.add_argument("--u", required=True)
+        p.add_argument("--v", required=True)
 
-    p_genus = command(lat_sub, _cmd_lattice_genus, "genus",
-                      help="adjunction genus of a class")
-    p_genus.add_argument("--beta", required=True)
+    if p := command(lat_sub, "lattice genus", _cmd_lattice_genus,
+                    help="adjunction genus of a class"):
+        p.add_argument("--beta", required=True)
 
-    p_sig = command(lat_sub, _cmd_lattice_signature, "signature",
-                    help="signature of a sublattice")
-    p_sig.add_argument("--sublattice",
-                       choices=("full", "fiber-section", "e8"),
+    if p := command(lat_sub, "lattice signature", _cmd_lattice_signature,
+                    help="signature of a sublattice"):
+        p.add_argument("--sublattice", choices=("full", "fiber-section", "e8"),
                        default="full")
 
-    p_enum = command(lat_sub, _cmd_lattice_enumerate, "enumerate",
-                     help="E8 vector counts by norm")
-    p_enum.add_argument("--norm-max", type=int, required=True)
+    if p := command(lat_sub, "lattice enumerate", _cmd_lattice_enumerate,
+                    help="E8 vector counts by norm"):
+        p.add_argument("--norm-max", type=int, required=True)
 
-    p_exc = command(lat_sub, _cmd_lattice_exceptional, "exceptional",
-                    help="classes with K.b = b.b = -1")
-    p_exc.add_argument("--k", type=int, required=True,
+    if p := command(lat_sub, "lattice exceptional", _cmd_lattice_exceptional,
+                    help="classes with K.b = b.b = -1"):
+        p.add_argument("--k", type=int, required=True,
                        help="number of blown-up points (1..8)")
-    p_exc.add_argument("--bound", type=int, default=6,
+        p.add_argument("--bound", type=int, default=6,
                        help="search bound on |b . e0|")
 
-    p_sw = sub.add_parser("sw", help="Seiberg-Witten values")
-    sw_sub = p_sw.add_subparsers(dest="query", required=True)
+    sw_sub = group(sub, "sw", help="Seiberg-Witten values")
 
-    p_p2 = command(sw_sub, _cmd_sw_p2, "p2", help="plane invariant by chamber")
-    p_p2.add_argument("--c", type=int, required=True,
-                      help="coefficient of the line class (odd)")
-    p_p2.add_argument("--chamber", required=True,
-                      choices=("+", "-", "plus", "minus"))
+    if p := command(sw_sub, "sw p2", _cmd_sw_p2,
+                    help="plane invariant by chamber"):
+        p.add_argument("--c", type=int, required=True,
+                       help="coefficient of the line class (odd)")
+        p.add_argument("--chamber", required=True,
+                       choices=("+", "-", "plus", "minus"))
 
-    p_cf = command(sw_sub, _cmd_sw_closed_form, "closed-form",
-                   help="binomial closed form for p_g > 0")
-    p_cf.add_argument("--d", type=int, required=True)
-    p_cf.add_argument("--pg", type=int, required=True)
+    if p := command(sw_sub, "sw closed-form", _cmd_sw_closed_form,
+                    help="binomial closed form for p_g > 0"):
+        p.add_argument("--d", type=int, required=True)
+        p.add_argument("--pg", type=int, required=True)
 
-    p_dim = command(sw_sub, _cmd_sw_dimension, "dimension",
-                    help="moduli dimension")
-    p_dim.add_argument("--c-sq", type=int, required=True)
-    p_dim.add_argument("--chi-top", type=int, required=True)
-    p_dim.add_argument("--sigma", type=int, required=True)
+    if p := command(sw_sub, "sw dimension", _cmd_sw_dimension,
+                    help="moduli dimension"):
+        p.add_argument("--c-sq", type=int, required=True)
+        p.add_argument("--chi-top", type=int, required=True)
+        p.add_argument("--sigma", type=int, required=True)
 
-    p_moc = command(sw_sub, _cmd_sw_mochizuki, "mochizuki",
-                    help="wall-crossing sum from JSON")
-    p_moc.add_argument("--file", required=True,
+    if p := command(sw_sub, "sw mochizuki", _cmd_sw_mochizuki,
+                    help="wall-crossing sum from JSON"):
+        p.add_argument("--file", required=True,
                        help="JSON with v, chi_v and the decompositions")
 
-    p_fit = command(sub, _cmd_fit, "fit", help="fit quasi-modular monomials")
-    p_fit.add_argument("--weight", type=int, required=True)
-    p_fit.add_argument("--eta-exponent", type=int, required=True)
-    p_fit.add_argument("--target", action="append", required=True,
+    if p := command(sub, "fit", _cmd_fit, help="fit quasi-modular monomials"):
+        p.add_argument("--weight", type=int, required=True)
+        p.add_argument("--eta-exponent", type=int, required=True)
+        p.add_argument("--target", action="append", required=True,
                        metavar="EXP=VALUE",
                        help="coefficient constraint, repeatable")
 
+    if words is not None and not leaves:  # -h, --, sw -h, a typo
+        return build_parser()
     # last, so that usage and --help list them after each command's own
     for p in leaves:
         p.add_argument("--order", type=int, default=None,
@@ -379,8 +409,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = build_parser(argv).parse_args(argv)
+    except _Fallback:  # the full tree prints the error and exits 2
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError) as exc:

@@ -1,6 +1,7 @@
 """Command-line interface tests, run in-process through main(argv)."""
 
 import argparse
+import itertools
 import json
 import os
 import re
@@ -15,6 +16,7 @@ from enumgeo import cli, invariants as inv, lattice as lat, modforms as mf
 from enumgeo import verify as ver
 from enumgeo.invariants import BiSeries
 from enumgeo.series import QSeries, product_family
+from test_cli_goldens import load_jobs
 
 
 def run_cli(capsys, *argv):
@@ -484,6 +486,109 @@ class TestParser(object):
         assert surface.choices == ("p2", "k3", "b9") == tuple(inv.SURFACES)
 
 
+class TestPathTree(object):
+    """``cli.main`` parses with only the parsers on argv's command path; the
+    full tree, which ``build_parser()`` declares, is the oracle."""
+
+    @staticmethod
+    def parse(parser, argv):
+        """``vars()`` of the parse, or "error" where argparse refuses argv."""
+        try:
+            return vars(parser.parse_args(argv))
+        except (SystemExit, cli._Fallback):
+            return "error"
+
+    def test_grid_parses_as_with_the_full_tree(self, capsys):
+        jobs = load_jobs()
+        requests = [list(itertools.chain.from_iterable(params))
+                    for _, params in jobs.grid("cli-fresh")]
+        assert len(requests) >= 550
+        full = cli.build_parser()
+        refused = 0
+        for argv in requests:
+            want = self.parse(full, argv)
+            assert self.parse(cli.build_parser(argv), argv) == want, argv
+            refused += want == "error"
+        assert refused >= 1     # expand eisenstein --order x
+        capsys.readouterr()
+
+    EDGES = [
+        [], ["-h"], ["--help"], ["--"], ["--", "expand", "eta-quotient"],
+        ["expan"], ["lattice"], ["lattice", "pai"], ["lattice", "--", "pair"],
+        ["sw", "-h", "p2"], ["-h", "expand"], ["expand", "-h"],
+        ["lattice", "pair", "-h"],
+        ["expand", "--order", "5", "eta-quotient"], ["--ord", "3"],
+        ["--order=3"],
+        ["sw", "p2", "--c", "3", "--chamber", "+", "--bogus"],   # unknown
+        ["expand", "eta-quotient", "extra"],                    # positional
+        ["sw", "p2", "--c", "x", "--chamber", "+"],             # type=int
+        ["lattice", "signature", "--sublattice", "e9"],         # choice
+    ]
+
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            rc = cli.main(list(argv))
+        except SystemExit as exc:
+            rc = exc.code
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err
+
+    @pytest.mark.parametrize("columns", ["40", "80", "200"])
+    @pytest.mark.parametrize("argv", EDGES,
+                             ids=[" ".join(a) or "(empty)" for a in EDGES])
+    def test_main_matches_full_tree(self, capsys, monkeypatch, argv,
+                                    columns):
+        monkeypatch.setenv("COLUMNS", columns)
+        monkeypatch.delenv("ENUMGEO_ORDER", raising=False)
+        got = self.outcome(capsys, argv)
+        full = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda argv=None: full())
+        assert got == self.outcome(capsys, argv)
+
+    @pytest.fixture
+    def formatters(self, monkeypatch):
+        """A list that grows by one per ``HelpFormatter`` constructed."""
+        made = []
+        init = argparse.HelpFormatter.__init__
+
+        def counted(self, *args, **kwargs):
+            made.append(self)
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(argparse.HelpFormatter, "__init__", counted)
+        return made
+
+    def test_full_tree_builds_67_formatters(self, formatters):
+        cli.build_parser()
+        assert len(formatters) == 67
+
+    LEAF_REQUESTS = [
+        ("expand", "eta-quotient", "--order", "2"),
+        ("verify", "ramanujan", "--order", "2"),
+        ("lattice", "pair", "--u", "F", "--v", "B"),
+        ("lattice", "genus", "--beta", "F"),
+        ("lattice", "signature"),
+        ("lattice", "enumerate", "--norm-max", "2"),
+        ("lattice", "exceptional", "--k", "2"),
+        ("sw", "p2", "--c", "3", "--chamber", "+"),
+        ("sw", "closed-form", "--d", "1", "--pg", "3"),
+        ("sw", "dimension", "--c-sq", "9", "--chi-top", "3", "--sigma", "1"),
+        ("sw", "mochizuki", "--file", "@wall"),
+        ("fit", "--weight", "4", "--eta-exponent", "0", "--target", "0=1"),
+    ]
+
+    @pytest.mark.parametrize("argv", LEAF_REQUESTS,
+                             ids=[" ".join(a[:2]) for a in LEAF_REQUESTS])
+    def test_leaf_request_builds_at_most_11_formatters(
+            self, capsys, tmp_path, formatters, argv):
+        wall = tmp_path / "wall.json"
+        wall.write_text(json.dumps(TestSW().mochizuki_payload()))
+        rc, _, err = run_cli(capsys, *[str(wall) if word == "@wall" else word
+                                       for word in argv])
+        assert (rc, err) == (0, "")
+        assert len(formatters) <= 11
+
+
 class TestOrderResolution(object):
     def test_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("ENUMGEO_ORDER", "3")
@@ -515,18 +620,35 @@ class TestDeterminism(object):
 
 
 class TestEntryPoints(object):
-    def test_module_invocation(self):
-        # the child imports the package under test, installed or not
+    @staticmethod
+    def run_module(*argv):
+        """``python -m enumgeo.cli`` with ``argv``: ``main()`` reads
+        ``sys.argv``.  The child imports the package under test, installed
+        or not."""
         src = os.path.dirname(os.path.dirname(cli.__file__))
         path = os.pathsep.join(
             filter(None, (src, os.environ.get("PYTHONPATH"))))
-        proc = subprocess.run(
-            [sys.executable, "-m", "enumgeo.cli", "expand", "eta-quotient",
-             "--exponent", "-12", "--order", "3"],
+        return subprocess.run(
+            [sys.executable, "-m", "enumgeo.cli", *argv],
             capture_output=True, text=True,
             env=dict(os.environ, PYTHONPATH=path))
+
+    def test_module_invocation(self):
+        proc = self.run_module("expand", "eta-quotient", "--exponent", "-12",
+                               "--order", "3")
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[1] == "1, 12, 90, 520"
+
+    def test_module_help(self):
+        proc = self.run_module("-h")
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: enumgeo")
+
+    def test_module_usage_error(self):
+        proc = self.run_module("sw", "p2", "--c", "x", "--chamber", "+")
+        assert proc.returncode == 2 and proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert sum("error:" in line for line in lines) == 1
 
     @pytest.mark.skipif(shutil.which("enumgeo") is None,
                         reason="console script not on PATH")
