@@ -136,6 +136,16 @@ def _goettsche_lerch(b2: int, order: int) -> list:
     return rows
 
 
+def _goettsche_packed(betti: Sequence[int], order: int) -> BiSeries:
+    """Göttsche's product for any Betti numbers b_0..b_4: every factor
+    that ``goettsche_series`` names, expanded at once by the integer
+    Euler-product recurrence of ``_euler_product_t`` with t packed as a
+    power of two."""
+    factors = [(m, 2 * m - 2 + i, (-1) ** i, b if i % 2 else -b)
+               for m in range(1, order + 1) for i, b in enumerate(betti) if b]
+    return BiSeries(_euler_product_t(factors, order), order=order)
+
+
 def goettsche_series(surface: SurfaceData, order: int) -> BiSeries:
     """Göttsche's product for Hilbert-scheme Betti numbers.
 
@@ -145,17 +155,13 @@ def goettsche_series(surface: SurfaceData, order: int) -> BiSeries:
     Euler-characteristic series.  Betti numbers (1, 0, b2, 0, 1), every
     preset among them, take the Appell-Lerch sum of ``_goettsche_lerch``
     times the eta power of ``_eta_power``.  Every other Betti vector
-    (b1 or b3 nonzero, or b0 or b4 not 1) keeps the packed path: all
-    factors are expanded at once by the integer Euler-product recurrence
-    with t**g packed as a power of two, g the gcd of the exponents
-    2m-2+i (1 if that is 0).
+    (b1 or b3 nonzero, or b0 or b4 not 1) keeps the packed path of
+    ``_goettsche_packed``.
     """
     b = surface.betti
     if (b[0], b[1], b[3], b[4]) == (1, 0, 0, 1):
         return BiSeries(_goettsche_lerch(b[2], order), order=order)
-    factors = [(m, 2 * m - 2 + i, (-1) ** i, b[i] if i % 2 else -b[i])
-               for m in range(1, order + 1) for i in range(5) if b[i]]
-    return BiSeries(_euler_product_t(factors, order), order=order)
+    return _goettsche_packed(b, order)
 
 
 def bryan_leung_series(genus: int, order: int) -> QSeries:

@@ -20,8 +20,9 @@ from the logarithmic-derivative recurrence of ``_euler_product``.
 
 ``BiSeries`` is a q-series whose coefficients are integer polynomials in a
 second variable t, as Göttsche's product is.  Its product and
-``_euler_product_t`` pack each t-polynomial into one integer and read it
-back with ``_t_poly``; no other module knows that packed format.  The
+``_euler_product_t`` pack each t-polynomial into one integer, digit i
+holding the coefficient of t**i, and read it back with ``_t_poly``; no
+other module knows that packed format.  The
 Göttsche product of Betti numbers (1, 0, b2, 0, 1) needs no packing:
 ``invariants`` builds it from an Appell-Lerch sum and ``_eta_power``;
 every other Betti vector keeps the packed ``_euler_product_t``.
@@ -178,22 +179,18 @@ def _eta_power(e: int, order: int) -> list:
     return f
 
 
-def _t_poly(value: int, width: int, g: int) -> list:
-    """The t-polynomial sum(d_i * t**(g*i)) of the signed digits d_i that
+def _t_poly(value: int, width: int) -> list:
+    """The t-polynomial sum(d_i * t**i) of the signed digits d_i that
     ``_pack`` wrote into ``value``: all its bits and one more, rounded up
     to whole digits, so that the top digit is signed."""
     bits = 8 * width
-    digits = _unpack(value, width, (abs(value).bit_length() + bits) // bits)
-    poly = [0] * (g * len(digits) - g + 1)
-    poly[::g] = digits
-    return poly
+    return _unpack(value, width, (abs(value).bit_length() + bits) // bits)
 
 
 def _euler_product_t(factors: list, order: int) -> list:
     """prod (1 - s*t**a*q**m)**e over (m, a, s, e), s = +-1, as integer
-    t-polynomials at q**0..q**order.  Every a is a multiple of g, the gcd
-    of the a (1 if that is 0), so this is ``_euler_product`` in t**g at
-    t**g = 2**(8*width), spread back to stride g.  Every t-coefficient is
+    t-polynomials at q**0..q**order: ``_euler_product`` at
+    t = 2**(8*width), read back digit by digit.  Every t-coefficient is
     bounded by that of prod (1 - q**m)**(-|e|), hence by the majorant
     prod (1 - q**m)**(-E), E the largest sum of the |e| that share an m:
     (1 - q**m)**(-1) has non-negative coefficients."""
@@ -202,10 +199,9 @@ def _euler_product_t(factors: list, order: int) -> list:
         sums[m] = sums.get(m, 0) + abs(e)
     majorant = _eta_power(-max(sums.values(), default=0), order)
     width = _width(max(majorant))
-    g = gcd(*(a for _, a, _, _ in factors)) or 1
-    values = _euler_product([(m, s << (8 * width * (a // g)), e)
+    values = _euler_product([(m, s << (8 * width * a), e)
                              for m, a, s, e in factors], order)
-    return [_t_poly(v, width, g) for v in values]
+    return [_t_poly(v, width) for v in values]
 
 
 def _json_int(value) -> int:
@@ -532,27 +528,23 @@ class BiSeries:
         return self.coeffs[k]
 
     def __mul__(self, other: "BiSeries") -> "BiSeries":
-        """Truncated product with each t-polynomial packed into one integer,
-        as ``goettsche_series`` does.  Every exponent with a nonzero
-        coefficient in either operand is a multiple of g (1 if there are
-        none), so the polynomials are packed in s = t**g at
-        s = 2**(8*width): q**m is then the integer convolution
-        sum_{i<=m} X_i*Y_(m-i), spread back to stride g.  Its s-digits are
-        sums of at most n*max(len Y_j) digit products, which sets the width."""
+        """Truncated product with each t-polynomial packed into one integer
+        at t = 2**(8*width), as ``_euler_product_t`` packs its factors:
+        q**m is then the integer convolution sum_{i<=m} X_i*Y_(m-i).  Its
+        t-digits are sums of at most n*max(len Y_j) digit products, which
+        sets the width."""
         if not isinstance(other, BiSeries):
             return NotImplemented
         if (self.var_q, self.var_t) != (other.var_q, other.var_t):
             raise VariableMismatch("variable names differ")
         n = min(self.order, other.order) + 1
         fs, gs = self.coeffs[:n], other.coeffs[:n]
-        g = gcd(*(a for p in chain(fs, gs) for a, c in enumerate(p) if c)) or 1
-        fs, gs = ([p[::g] for p in f] for f in (fs, gs))
         width = _width(max(1, *map(abs, chain(*fs))) * n * max(map(len, gs))
                        * max(1, *map(abs, chain(*gs))))
         xs, ys = ([_pack(p, width) for p in f] for f in (fs, gs))
         zs = [sum(map(mul, xs[:m + 1], reversed(ys[:m + 1])))
               for m in range(n)]
-        return BiSeries([_t_poly(z, width, g) for z in zs],
+        return BiSeries([_t_poly(z, width) for z in zs],
                         var_q=self.var_q, var_t=self.var_t, order=n - 1)
 
     def __eq__(self, other):

@@ -102,20 +102,10 @@ def trim(poly):
     return poly or [0]
 
 
-def goettsche_packed(surface, order):
-    """Oracle: Göttsche's product through the packed Euler-product path,
-    which ``goettsche_series`` keeps for Betti vectors other than
-    (1, 0, b2, 0, 1)."""
-    b = surface.betti
-    factors = [(m, 2 * m - 2 + i, (-1) ** i, b[i] if i % 2 else -b[i])
-               for m in range(1, order + 1) for i in range(5) if b[i]]
-    return inv.BiSeries(_euler_product_t(factors, order), order=order)
-
-
 #: the three presets and (1, 0, 0, 0, 1) take the Appell-Lerch path; two
 #: surfaces with b1 != 0 (an abelian surface and a ruled surface over an
 #: elliptic curve), whose polynomials carry signs, and b0 alone, whose
-#: t-exponents at order 1 have gcd 0, keep the packed path
+#: only factor at order 1 is t^0, keep the packed path
 GOETTSCHE_SURFACES = {
     "p2": inv.SurfaceData.projective_plane(),
     "k3": inv.SurfaceData.k3(),
@@ -279,8 +269,8 @@ class TestBiSeries(object):
                                   "t5-const"])
     def test_mul_in_powers_of_t_matches_schoolbook(self, strides):
         # operands whose exponents are multiples of a stride (0: constants
-        # only), so the product packs in t^gcd; the order of the operands
-        # must not matter
+        # only), so most t-digits of the packed product are zero; the
+        # order of the operands must not matter
         rng = random.Random(str(strides))
 
         def poly(k, stride):
@@ -424,7 +414,7 @@ class TestGoettsche(object):
     @pytest.mark.parametrize("name", ["p2", "k3", "b9", "b0-b4"])
     def test_appell_lerch_matches_packed_path(self, name):
         surface = GOETTSCHE_SURFACES[name]
-        oracle = goettsche_packed(surface, 60).coeffs
+        oracle = inv._goettsche_packed(surface.betti, 60).coeffs
         for order in range(61):
             g = inv.goettsche_series(surface, order)
             assert g.order == order
@@ -433,7 +423,7 @@ class TestGoettsche(object):
     def test_appell_lerch_matches_packed_path_on_k3_at_order_100(self):
         k3 = inv.SurfaceData.k3()
         assert (inv.goettsche_series(k3, 100).coeffs
-                == goettsche_packed(k3, 100).coeffs)
+                == inv._goettsche_packed(k3.betti, 100).coeffs)
 
 
 class TestEulerProductT(object):
