@@ -27,7 +27,9 @@ Göttsche product of Betti numbers (1, 0, b2, 0, 1) needs no packing:
 ``invariants`` builds it from an Appell-Lerch sum and ``_eta_power``;
 every other Betti vector keeps the packed ``_euler_product_t``.
 
-Both classes raise ``SeriesError`` (a ``ValueError``) subclasses:
+Both classes derive from ``_Frozen``: they are immutable and unhashable,
+compare equal up to the smaller order, and copy, deepcopy and pickle.
+They raise ``SeriesError`` (a ``ValueError``) subclasses:
 ``OrderExceeded``, also an ``IndexError``, for a coefficient outside the
 stored order, and ``VariableMismatch`` for operands in other variables.
 """
@@ -246,10 +248,40 @@ def _padded(items: list, order: int | None, fill) -> list:
     return items + [fill] * (order + 1 - len(items))
 
 
-class QSeries:
+class _Frozen:
+    """An immutable series ``coeffs[0..order]`` in the variables named by
+    ``_names``; equal up to the smaller order, so no hash can agree."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __setstate__(self, state):
+        """Copy, deepcopy and pickle pass (None, {slot: value})."""
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+    def coefficient(self, k: int):
+        """``coeffs[k]``; raises OrderExceeded outside 0..order."""
+        if k < 0 or k > self.order:
+            raise OrderExceeded(
+                f"coefficient {k} requested, stored order is {self.order}")
+        return self.coeffs[k]
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        n = min(self.order, other.order) + 1
+        return (all(getattr(self, a) == getattr(other, a) for a in self._names)
+                and self.coeffs[:n] == other.coeffs[:n])
+
+
+class QSeries(_Frozen):
     """An exact truncated power series q**shift * sum(c_k q**k, k=0..order)."""
 
     __slots__ = ("var", "order", "shift", "coeffs")
+    _names = ("var", "shift")
 
     def __init__(self, coeffs: Iterable[Rational], var: str = "q",
                  shift: Rational = 0, order: int | None = None):
@@ -258,9 +290,6 @@ class QSeries:
         object.__setattr__(self, "order", len(cs) - 1)
         object.__setattr__(self, "shift", _as_fraction(shift))
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QSeries is immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -284,13 +313,6 @@ class QSeries:
         return cls([0, 1], var=var, order=order)
 
     # -- basic access ------------------------------------------------------
-
-    def coefficient(self, k: int) -> Fraction:
-        """Coefficient of q**(shift + k); raises OrderExceeded outside 0..order."""
-        if k < 0 or k > self.order:
-            raise OrderExceeded(
-                f"coefficient {k} requested, stored order is {self.order}")
-        return self.coeffs[k]
 
     def coefficients(self) -> tuple:
         return self.coeffs
@@ -443,15 +465,7 @@ class QSeries:
         return QSeries([k * c for k, c in enumerate(self.coeffs)],
                        var=self.var, order=self.order)
 
-    # -- comparison and display --------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        if self.var != other.var or self.shift != other.shift:
-            return False
-        n = min(self.order, other.order)
-        return self.coeffs[: n + 1] == other.coeffs[: n + 1]
+    # -- display -----------------------------------------------------------
 
     def __str__(self):
         body = _poly_str(self.coeffs, self.var)
@@ -488,11 +502,12 @@ class QSeries:
         return cls(coeffs, var=data["var"], shift=shift, order=data["order"])
 
 
-class BiSeries:
+class BiSeries(_Frozen):
     """Truncated series in q whose coefficients are integer polynomials
-    in a second variable t; degree at q**k is at most 4k."""
+    in a second variable t, as tuples; degree at q**k is at most 4k."""
 
     __slots__ = ("var_q", "var_t", "order", "coeffs")
+    _names = ("var_q", "var_t")
 
     def __init__(self, coeffs: Sequence, var_q: str = "q", var_t: str = "t",
                  order: int | None = None):
@@ -507,9 +522,6 @@ class BiSeries:
         object.__setattr__(self, "order", len(polys) - 1)
         object.__setattr__(self, "coeffs", tuple(tuple(p) for p in polys))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("BiSeries is immutable")
-
     @staticmethod
     def _trim(poly):
         while len(poly) > 1 and poly[-1] == 0:
@@ -519,13 +531,6 @@ class BiSeries:
     @classmethod
     def one(cls, order: int, var_q: str = "q", var_t: str = "t") -> "BiSeries":
         return cls([(1,)], var_q=var_q, var_t=var_t, order=order)
-
-    def coefficient(self, k: int) -> tuple:
-        """The t-polynomial at q**k, as a coefficient tuple."""
-        if k < 0 or k > self.order:
-            raise OrderExceeded(
-                f"coefficient {k} requested, stored order is {self.order}")
-        return self.coeffs[k]
 
     def __mul__(self, other: "BiSeries") -> "BiSeries":
         """Truncated product with each t-polynomial packed into one integer
@@ -546,13 +551,6 @@ class BiSeries:
               for m in range(n)]
         return BiSeries([_t_poly(z, width) for z in zs],
                         var_q=self.var_q, var_t=self.var_t, order=n - 1)
-
-    def __eq__(self, other):
-        if not isinstance(other, BiSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return ((self.var_q, self.var_t) == (other.var_q, other.var_t)
-                and self.coeffs[: n + 1] == other.coeffs[: n + 1])
 
     def eval_t(self, value: Rational) -> QSeries:
         """Specialize the second variable to an exact rational v = p/r.

@@ -327,6 +327,38 @@ class TestBiSeries(object):
         with pytest.raises(SeriesError):
             inv.BiSeries.one(2) * inv.BiSeries.one(2, var_t="s")
 
+    @pytest.mark.parametrize("polys, want", [
+        ([(1,), (1, 0, 0, 0, 0, 0, 0)], ((1,), (1,))),
+        ([(), (0, 0, 0)], ((0,), (0,))),
+        ([(1,), (1, 0.0)], TypeError),
+        ([(1,), (0, 0, 0, 0, 0, 1)], "t-degree 5 at q^1 exceeds bound 4"),
+        ([(0.5,), (1,), (2,)], TypeError),
+        ([(1,), (0, 0, 0, 0, 0, 1), (1,)],
+         "3 coefficients exceed order 1; truncate explicitly"),
+    ], ids=["trailing-zeros-before-degree", "empty-and-zero-rows",
+            "float-before-trim", "degree-text", "float-before-order",
+            "order-before-degree"])
+    def test_normalisation(self, polys, want):
+        # rows are converted and trimmed, then padded to the order, then
+        # checked against the 4k degree bound
+        if isinstance(want, tuple):
+            assert inv.BiSeries(polys, order=1).coeffs == want
+        elif isinstance(want, str):
+            with pytest.raises(SeriesError) as caught:
+                inv.BiSeries(polys, order=1)
+            assert str(caught.value) == want
+        else:
+            with pytest.raises(want):
+                inv.BiSeries(polys, order=1)
+
+    def test_equality_up_to_smaller_order(self):
+        f = inv.BiSeries([(1,), (1, 2), (3,)])
+        assert f == inv.BiSeries([(1,), (1, 2)])
+        assert f != inv.BiSeries([(1,), (1, 3)])
+        assert f != inv.BiSeries(f.coeffs, var_q="x")
+        assert f != inv.BiSeries(f.coeffs, var_t="s")
+        assert f != series.QSeries([1, 2, 3])
+
     def test_degree_over_4k_is_a_series_error(self):
         with pytest.raises(SeriesError, match="t-degree 5 at q\\^1"):
             inv.BiSeries([(1,), (0, 0, 0, 0, 0, 1)], order=1)
@@ -429,8 +461,8 @@ class TestGoettsche(object):
 class TestEulerProductT(object):
     @pytest.mark.parametrize("exponents", [(3, 6, 9), (0, 3, 9),
                                            (0, 4, 6), (2, 3, 7), (0, 1, 5)],
-                             ids=["g3", "g3-with-0", "g2-with-0", "gcd1",
-                                  "gcd1-with-0"])
+                             ids=["t3-6-9", "t0-3-9", "t0-4-6", "t2-3-7",
+                                  "t0-1-5"])
     def test_matches_schoolbook(self, exponents):
         rng = random.Random(str(exponents))
         for _ in range(12):

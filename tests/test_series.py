@@ -1,12 +1,15 @@
 """Series-core tests: frozen oracles, ring-axiom properties, round trips."""
 
+import copy
 import json
+import pickle
 import random
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
 
+from enumgeo.invariants import SURFACES, goettsche_series
 from enumgeo.modforms import eisenstein
 from enumgeo.series import (
     BiSeries,
@@ -589,6 +592,27 @@ class TestErrors:
     def test_truncate_cannot_extend(self):
         with pytest.raises(OrderExceeded):
             QSeries([1, 2]).truncate(5)
+
+
+class TestCopyAndPickle:
+    ROUND_TRIPS = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+                   "pickle": lambda f: pickle.loads(pickle.dumps(f))}
+
+    @pytest.mark.parametrize("how", list(ROUND_TRIPS))
+    @pytest.mark.parametrize("make", [
+        lambda: QSeries([1, -2, Fraction(3, 5)], var="x",
+                        shift=Fraction(1, 24)),
+        lambda: goettsche_series(SURFACES["k3"](), 6),
+    ], ids=["qseries-x-shift", "goettsche-k3-6"])
+    def test_round_trip(self, make, how):
+        f = make()
+        g = self.ROUND_TRIPS[how](f)
+        assert type(g) is type(f) and g == f
+        for name in type(f).__slots__:
+            assert getattr(g, name) == getattr(f, name), name
+        with pytest.raises(AttributeError) as exc:
+            g.order = 3
+        assert exc.value.args == (f"{type(f).__name__} is immutable",)
 
 
 class TestErrorPaths:
