@@ -10,6 +10,13 @@ Each request builds only its own command's parsers: the root, the group
 help on the root or a group, come from the full tree, so their text is the
 same as when every parser is built.
 
+Each request also imports only the modules its command runs: ``expand``
+imports ``invariants`` and ``modforms``, ``sw`` imports ``invariants``,
+``fit`` imports ``modforms``, ``verify`` imports the ``verify`` module, and
+``lattice`` imports none of them.  ``json`` is imported only for
+``--format json`` and ``sw mochizuki``.  The full tree, built for help and
+usage errors, imports them all.
+
 Exit codes: 0 success, 1 failed verification, 2 malformed input.
 The environment variable ENUMGEO_ORDER overrides the default order 20.
 The surfaces named by ``--surface`` are those of ``invariants.SURFACES``.
@@ -19,16 +26,12 @@ Output is deterministic: fixed orderings, sorted JSON keys, no timestamps.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import warnings
 from fractions import Fraction
 
-from . import invariants as inv
 from . import lattice as lat
-from . import modforms as mf
-from . import verify as ver
 from .series import QSeries
 
 
@@ -65,35 +68,38 @@ def _resolve_order(args) -> int:
 
 
 def _emit_json(payload) -> None:
+    import json
     print(json.dumps(payload, sort_keys=True, indent=2))
 
 
 # -- expand ----------------------------------------------------------------
 
-#: expand target -> (series, header words after the target); the words are
-#: empty or start with a space
+#: expand target -> (series, header words after the target), given the
+#: arguments, the order and the modules ``invariants`` and ``modforms``; the
+#: words are empty or start with a space
 _EXPAND = {
-    "eta-quotient": lambda a, n: (mf.eta_quotient(a.exponent, n),
-                                  f" exponent={a.exponent}"),
-    "eisenstein": lambda a, n: (mf.eisenstein(a.weight, n),
-                                f" weight={a.weight}"),
-    "theta-e8": lambda a, n: (mf.theta_e8(n, method=a.method),
-                              f" method={a.method}"),
-    "hilb-euler": lambda a, n: (
+    "eta-quotient": lambda a, n, inv, mf: (
+        mf.eta_quotient(a.exponent, n), f" exponent={a.exponent}"),
+    "eisenstein": lambda a, n, inv, mf: (
+        mf.eisenstein(a.weight, n), f" weight={a.weight}"),
+    "theta-e8": lambda a, n, inv, mf: (
+        mf.theta_e8(n, method=a.method), f" method={a.method}"),
+    "hilb-euler": lambda a, n, inv, mf: (
         inv.hilb_euler_series(s := inv.SURFACES[a.surface](), n),
         f" surface={a.surface} chi={s.chi_top}"),
-    "goettsche": lambda a, n: (
+    "goettsche": lambda a, n, inv, mf: (
         inv.goettsche_series(inv.SURFACES[a.surface](), n),
         f" surface={a.surface}"),
-    "bryan-leung": lambda a, n: (inv.bryan_leung_series(a.genus, n),
-                                 f" genus={a.genus}"),
-    "half-k3-z1": lambda a, n: (inv.half_k3_z1(n), ""),
+    "bryan-leung": lambda a, n, inv, mf: (
+        inv.bryan_leung_series(a.genus, n), f" genus={a.genus}"),
+    "half-k3-z1": lambda a, n, inv, mf: (inv.half_k3_z1(n), ""),
 }
 
 
 def _cmd_expand(args) -> int:
+    from . import invariants as inv, modforms as mf
     order = _resolve_order(args)
-    series, words = _EXPAND[args.target](args, order)
+    series, words = _EXPAND[args.target](args, order, inv, mf)
     if args.format == "json":
         _emit_json(series.to_json_dict())
     elif isinstance(series, QSeries):
@@ -107,6 +113,7 @@ def _cmd_expand(args) -> int:
 # -- verify ----------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
+    from . import verify as ver
     order = _resolve_order(args)
     reports = ver.run_suite(args.suite, order)
     failed = sum(r.status == "fail" for r in reports)
@@ -189,17 +196,20 @@ def _cmd_lattice_exceptional(args) -> int:
 # -- sw ----------------------------------------------------------------------
 
 def _cmd_sw_p2(args) -> int:
+    from . import invariants as inv
     chamber = {"plus": "+", "minus": "-"}.get(args.chamber, args.chamber)
     print(inv.sw_p2(args.c, chamber))
     return 0
 
 
 def _cmd_sw_closed_form(args) -> int:
+    from . import invariants as inv
     print(inv.sw_closed_form(args.d, args.pg))
     return 0
 
 
 def _cmd_sw_dimension(args) -> int:
+    from . import invariants as inv
     print(inv.sw_dimension(args.c_sq, args.chi_top, args.sigma))
     return 0
 
@@ -218,6 +228,8 @@ def _pair_to_fraction(pair) -> Fraction:
 
 
 def _cmd_sw_mochizuki(args) -> int:
+    import json
+    from . import invariants as inv
     with open(args.file, encoding="utf-8") as fh:
         try:
             data = _wall(json.load(fh), dict)
@@ -258,6 +270,7 @@ def _parse_target(text: str) -> tuple:
 
 
 def _cmd_fit(args) -> int:
+    from . import modforms as mf
     targets = [_parse_target(t) for t in args.target]
     fit = mf.fit_quasi_homogeneous(args.weight, args.eta_exponent, targets)
     if args.format == "json":
@@ -323,6 +336,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
 
     if p := command(sub, "expand", _cmd_expand,
                     help="print a series expansion"):
+        from . import invariants as inv
         p.add_argument("target", choices=tuple(_EXPAND))
         p.add_argument("--exponent", type=int, default=-12,
                        help="eta-quotient exponent")
@@ -336,6 +350,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
                        help="bryan-leung genus")
 
     if p := command(sub, "verify", _cmd_verify, help="run golden self-checks"):
+        from . import verify as ver
         p.add_argument("suite", nargs="?", default="all",
                        choices=tuple(sorted(ver.SUITES)))
 

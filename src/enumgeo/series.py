@@ -257,6 +257,11 @@ class _Frozen:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __getstate__(self):
+        """(None, {slot: value}); pickle protocols 0 and 1 refuse slots
+        without it."""
+        return None, {name: getattr(self, name) for name in self.__slots__}
+
     def __setstate__(self, state):
         """Copy, deepcopy and pickle pass (None, {slot: value})."""
         for name, value in state[1].items():

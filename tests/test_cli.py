@@ -1,6 +1,7 @@
 """Command-line interface tests, run in-process through main(argv)."""
 
 import argparse
+import ast
 import itertools
 import json
 import os
@@ -23,6 +24,15 @@ def run_cli(capsys, *argv):
     rc = cli.main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def run_python(*args):
+    """A fresh interpreter run with ``args``, on the ``PYTHONPATH`` of the
+    package under test, installed or not."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
 
 
 class TestExpandText(object):
@@ -623,15 +633,8 @@ class TestEntryPoints(object):
     @staticmethod
     def run_module(*argv):
         """``python -m enumgeo.cli`` with ``argv``: ``main()`` reads
-        ``sys.argv``.  The child imports the package under test, installed
-        or not."""
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        path = os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH"))))
-        return subprocess.run(
-            [sys.executable, "-m", "enumgeo.cli", *argv],
-            capture_output=True, text=True,
-            env=dict(os.environ, PYTHONPATH=path))
+        ``sys.argv``."""
+        return run_python("-m", "enumgeo.cli", *argv)
 
     def test_module_invocation(self):
         proc = self.run_module("expand", "eta-quotient", "--exponent", "-12",
@@ -656,3 +659,67 @@ class TestEntryPoints(object):
         proc = subprocess.run(["enumgeo", "verify", "ramanujan"],
                               capture_output=True, text=True)
         assert proc.returncode == 0
+
+
+class TestFreshProcess(object):
+    """Requests in a fresh interpreter.  ``enumgeo.cli`` imports the modules
+    a command runs only on that command's path, and the test files have
+    imported every module already, so only a fresh process sees a deferred
+    import that is missing."""
+
+    DEFERRED = ("enumgeo.invariants", "enumgeo.modforms", "enumgeo.verify",
+                "json")
+    # prints, as its last line, the deferred modules loaded after the
+    # import and after each of two requests
+    PROBE = """\
+import sys
+before, deferred, loaded = set(sys.modules), set(sys.argv[1:]), []
+import enumgeo.cli as cli
+loaded.append(sorted(deferred & (set(sys.modules) - before)))
+cli.main(["lattice", "pair", "--u", "F", "--v", "B"])
+loaded.append(sorted(deferred & (set(sys.modules) - before)))
+cli.main(["verify", "discriminant"])
+loaded.append(sorted(deferred & (set(sys.modules) - before)))
+print(loaded)
+"""
+
+    def test_import_loads_no_deferred_module(self):
+        proc = run_python("-c", self.PROBE, *self.DEFERRED)
+        assert proc.returncode == 0, proc.stderr
+        after_import, after_lattice, after_verify = ast.literal_eval(
+            proc.stdout.splitlines()[-1])
+        assert after_import == after_lattice == []
+        assert "enumgeo.verify" in after_verify
+
+    # one request per parser of the full tree: its 12 leaves, the root and
+    # the two groups
+    REQUESTS = [
+        ("expand", "hilb-euler", "--surface", "k3", "--order", "3"),
+        ("verify", "discriminant", "--order", "5", "--format", "json"),
+        ("lattice", "pair", "--u", "F", "--v", "B"),
+        ("lattice", "genus", "--beta", "F"),
+        ("lattice", "signature", "--sublattice", "e8"),
+        ("lattice", "enumerate", "--norm-max", "4", "--format", "json"),
+        ("lattice", "exceptional", "--k", "3", "--format", "json"),
+        ("sw", "p2", "--c", "3", "--chamber", "plus"),
+        ("sw", "closed-form", "--d", "1", "--pg", "3"),
+        ("sw", "dimension", "--c-sq", "9", "--chi-top", "3", "--sigma", "1"),
+        ("sw", "mochizuki", "--file", "@wall", "--format", "json"),
+        ("fit", "--weight", "4", "--eta-exponent", "0", "--target", "0=1",
+         "--format", "json"),
+        ("-h",),
+        ("lattice", "--help"),
+        ("sw",),                                    # usage error
+    ]
+
+    @pytest.mark.parametrize("argv", REQUESTS,
+                             ids=[" ".join(a[:2]) for a in REQUESTS])
+    def test_module_matches_main(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.delenv("ENUMGEO_ORDER", raising=False)
+        wall = tmp_path / "wall.json"
+        wall.write_text(json.dumps(TestSW().mochizuki_payload(k_dot_h=3)))
+        argv = [str(wall) if word == "@wall" else word for word in argv]
+        proc = run_python("-m", "enumgeo.cli", *argv)
+        got = (proc.returncode, proc.stdout, proc.stderr)
+        assert got == TestPathTree.outcome(capsys, argv)

@@ -596,7 +596,10 @@ class TestErrors:
 
 class TestCopyAndPickle:
     ROUND_TRIPS = {"copy": copy.copy, "deepcopy": copy.deepcopy,
-                   "pickle": lambda f: pickle.loads(pickle.dumps(f))}
+                   "pickle": lambda f: pickle.loads(pickle.dumps(f)),
+                   **{f"pickle-{p}": lambda f, p=p: pickle.loads(
+                       pickle.dumps(f, protocol=p))
+                      for p in range(6)}}
 
     @pytest.mark.parametrize("how", list(ROUND_TRIPS))
     @pytest.mark.parametrize("make", [
