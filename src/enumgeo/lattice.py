@@ -211,6 +211,7 @@ def enumerate_vectors(lattice: SurfaceLattice, norm_max: int) -> dict:
     The form must be positive definite.  The scan runs over Python
     integers, so the counts are exact for any entries and any norm bound.
     """
+    norm_max = operator.index(norm_max)
     if norm_max < 0:
         raise ValueError("norm_max must be >= 0")
     counts = _shortvec.count_by_norm(lattice.gram, norm_max)

@@ -87,6 +87,7 @@ def theta_e8(order: int, method: str = "eisenstein") -> QSeries:
     method='lattice' counts vectors of each even norm exactly;
     method='eisenstein' returns E4.  The two agree identically.
     """
+    order = operator.index(order)
     if order < 0:  # before the lattice scan, which would name norm_max
         raise SeriesError(f"order must be >= 0, got {order}")
     if method == "eisenstein":

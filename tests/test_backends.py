@@ -80,15 +80,19 @@ def prepare_fraction(gram):
     return {"rank": n, "lm": lm, "m": m, "ehat": ehat, "lam": lam}
 
 
-def random_forms(seed, count, max_rank=6):
+def random_forms(seed, count, max_rank=6, first=(1, 2)):
     """Seeded positive-definite Gram matrices B^T B + D of rank 0..max_rank:
     B is upper triangular with diagonal 1 or 2 and entries -1..1 above it,
-    D is diagonal with entries 0..1, so most forms are not unimodular."""
+    D is diagonal with entries 0..1, so most forms are not unimodular.
+    B_00 is drawn from ``first``; row 0 of the Gram matrix is B_00 times
+    row 0 of B, so B_00 >= 2 makes the first pivot B_00**2 + D_00 > 1 and
+    its row's entries B_00*B_0j leave residues modulo it."""
     rng = random.Random(seed)
     forms = []
     for k in range(count):
         n = k % (max_rank + 1)
-        b = [[rng.randint(1, 2) if i == j else rng.randint(-1, 1) * (i < j)
+        b = [[rng.randint(*first) if i == j == 0 else
+              rng.randint(1, 2) if i == j else rng.randint(-1, 1) * (i < j)
               for j in range(n)] for i in range(n)]
         gram = tuple(tuple(sum(b[r][i] * b[r][j] for r in range(n))
                            + (rng.randint(0, 1) if i == j else 0)
@@ -168,6 +172,45 @@ class TestHalfSpaceScan(object):
             norm_max = k % 12 - 1
             assert pure.count_by_norm(gram, norm_max) == \
                 count_full(data, norm_max), (gram, norm_max)
+
+    def test_matches_full_scan_at_larger_norms(self):
+        # norms 20..30 on ranks 1..8: level 1 meets the same leaf budget
+        # many times, so most leaves come from the call's table
+        forms = [gram for gram in random_forms(5, 135, max_rank=8) if gram]
+        assert {len(gram) for gram in forms} == set(range(1, 9))
+        for k, gram in enumerate(forms):
+            norm_max = 20 + k % 11
+            assert pure.count_by_norm(gram, norm_max) == \
+                count_full(prepare_fraction(gram), norm_max), (gram, norm_max)
+
+    def test_first_pivot_above_one(self):
+        # t_0 steps by p_0 > 1 from a centre c_0 = sum_j a_0j*x_j that is
+        # not a multiple of p_0, so leaves differ by residue at one budget
+        forms = [gram for gram in random_forms(6, 135, max_rank=8,
+                                               first=(2, 3)) if gram]
+        assert all(gram[0][0] > 1 for gram in forms)
+        assert sum(any(a % gram[0][0] for a in gram[0][1:])
+                   for gram in forms) > 80
+        for k, gram in enumerate(forms):
+            norm_max = 10 + k % 21
+            assert pure.count_by_norm(gram, norm_max) == \
+                count_full(prepare_fraction(gram), norm_max), (gram, norm_max)
+
+    def test_no_state_survives_a_call(self):
+        # both forms start with the leaf key (4, 0, True): budget
+        # LAM*norm_max = 1*4 and 2*2, yet the leaves differ; then two
+        # random forms and E8 back to back, each scanned twice
+        square, skew = ((1, 0), (0, 1)), ((1, 0), (0, 2))
+        e8 = lat.e8_lattice().gram
+        cases = [(square, 4), (skew, 2), (e8, 8)] + [
+            (gram, 24) for gram in random_forms(7, 9, max_rank=8)[7:]]
+        expected = [count_full(prepare_fraction(gram), norm_max)
+                    for gram, norm_max in cases]
+        assert expected[0] == [1, 4, 4, 0, 4]
+        assert expected[1] == [1, 2, 2]
+        for _ in range(2):
+            for (gram, norm_max), want in zip(cases, expected):
+                assert pure.count_by_norm(gram, norm_max) == want, gram
 
     def test_e8_theta_coefficients(self):
         gram = lat.e8_lattice().gram

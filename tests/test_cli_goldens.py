@@ -7,7 +7,7 @@ their ``to_json_dict()``.
 of its canonical JSON outcome, or to ``"exit2"`` for a malformed request.
 The file is only read here.  The long E8 scans (``--method lattice``,
 ``verify all``, ``verify theta-cross-method`` and ``lattice enumerate`` at
-norms of 10 and more) are left to the benchmark for time.  The ``@``-tokens
+norms of 15 and more) are left to the benchmark for time.  The ``@``-tokens
 name wall files, which the benchmark's own ``write_wall_files`` writes;
 digests are taken with its ``digest``, the function the goldens were made
 with.
@@ -27,7 +27,7 @@ from enumgeo import modforms as mf
 GEOBENCH = Path(__file__).resolve().parents[1] / "geobench"
 GOLDENS = GEOBENCH / "goldens.json"
 SKIPPED = ("--method lattice", "verify all", "verify theta-cross-method")
-LONG_SCAN = re.compile(r"--norm-max [1-9]\d")
+LONG_SCAN = re.compile(r"--norm-max (1[5-9]|[2-9]\d|[1-9]\d\d+)\b")
 
 
 def load_jobs():
@@ -73,11 +73,11 @@ def no_env_order(monkeypatch):
 
 def test_replay_covers_every_kind_of_request():
     keys = replayed()
-    assert len(keys) >= 550
+    assert len(keys) >= 560
     words = {key.split()[1] for key in keys}
     assert words == {"expand", "verify", "lattice", "sw", "fit"}
     assert sum(want == "exit2" for want in keys.values()) >= 5
-    for word in ("theta-e8", "enumerate", "@wall-", "@bad-"):
+    for word in ("theta-e8", "--norm-max 14", "@wall-", "@bad-"):
         assert any(word in key for key in keys), word
 
 

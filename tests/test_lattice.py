@@ -334,12 +334,20 @@ class TestErrorPaths(object):
          ValueError, "norm_max must be >= 0"),
         (lambda: lat.exceptional_classes(2, -1),
          ValueError, "degree bound must be >= 0"),
+        (lambda: lat.enumerate_vectors(lat.e8_lattice(), 2.0),
+         TypeError, "'float' object cannot be interpreted as an integer"),
     ], ids=["gram-shape", "label-count", "no-canonical", "del-pezzo-9",
-            "negative-norm-max", "negative-degree-bound"])
+            "negative-norm-max", "negative-degree-bound", "float-norm-max"])
     def test_raises(self, call, cls, message):
         with pytest.raises(cls) as exc:
             call()
         assert type(exc.value) is cls and exc.value.args == (message,)
+
+    def test_bool_bounds_are_ints(self):
+        # operator.index keeps bools, as the scan always did
+        e8 = lat.e8_lattice()
+        assert lat.enumerate_vectors(e8, True) == {0: 1, 1: 0}
+        assert lat.enumerate_vectors(e8, False) == {0: 1}
 
 
 class TestValidation(object):

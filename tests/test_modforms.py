@@ -450,9 +450,19 @@ class TestErrorPaths:
          ValueError, "ragged coefficient matrix"),
         (lambda: mf.fit_quasi_homogeneous(4, 0, [(0, 1), (-1, 2)]),
          ValueError, "target exponents must be >= 0"),
+        (lambda: mf.theta_e8(2.0, method="lattice"),
+         TypeError, "'float' object cannot be interpreted as an integer"),
+        (lambda: mf.theta_e8(2.0),
+         TypeError, "'float' object cannot be interpreted as an integer"),
     ], ids=["divisor-sigma-n-0", "eta-float-exponent", "too-few-rhs",
-            "ragged-rows", "negative-target-exponent"])
+            "ragged-rows", "negative-target-exponent",
+            "theta-lattice-float-order", "theta-eisenstein-float-order"])
     def test_raises(self, call, cls, message):
         with pytest.raises(cls) as exc:
             call()
         assert type(exc.value) is cls and exc.value.args == (message,)
+
+    def test_bool_order_is_an_int(self):
+        # operator.index keeps bools, as theta_e8 always did
+        for method in ("lattice", "eisenstein"):
+            assert mf.theta_e8(True, method=method) == mf.theta_e8(1)
