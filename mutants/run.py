@@ -6,7 +6,8 @@ named tests fail.
 A mutant is data: the file it changes, the exact old text, the new text,
 and the ids of the tests that must fail.  The runner first refuses the deck
 if some mutant's old text does not occur exactly once in its file, so a
-refactor cannot retire a mutant without a word.  It then copies ``src/``,
+refactor cannot retire a mutant without a word, or if a mutant names a test
+whose file, class or function does not exist.  It then copies ``src/``,
 ``tests/``, ``pyproject.toml`` and the files the tests read (``README.md``,
 ``geobench/goldens.json``, ``geobench/jobs.py``) to a temporary directory:
 pytest's ``pythonpath = ["src"]`` imports the tree it runs in, so a mutant
@@ -20,6 +21,8 @@ starts one pytest process per mutant.
 
 from __future__ import annotations
 
+import ast
+import functools
 import json
 import os
 import re
@@ -35,8 +38,31 @@ COPIED = ("src", "tests", "pyproject.toml", "README.md",
           "geobench/goldens.json", "geobench/jobs.py")
 
 
+@functools.cache
+def statements(path: Path) -> list:
+    """The top-level statements of a test file, parsed once per run."""
+    return ast.parse(path.read_text(encoding="utf-8")).body
+
+
+def names_a_test(test_id: str) -> bool:
+    """Whether the file, class and test function that ``test_id`` names
+    exist; a ``[param]`` suffix is not checked."""
+    path, *names = test_id.split("[", 1)[0].split("::")
+    if not (ROOT / path).is_file():
+        return False
+    body = statements(ROOT / path)
+    for name in names:
+        node = next((n for n in body if isinstance(n, (ast.ClassDef,
+                     ast.FunctionDef)) and n.name == name), None)
+        if node is None:
+            return False
+        body = node.body
+    return True
+
+
 def refusals(deck) -> list:
-    """One line for each mutant whose old text is not in its file once."""
+    """One line for each mutant whose old text is not in its file once,
+    and for each test id that names no test."""
     out = []
     for mutant in deck:
         path = ROOT / mutant["file"]
@@ -45,6 +71,8 @@ def refusals(deck) -> list:
         if count != 1:
             out.append(f"{mutant['id']}: old text occurs {count} times "
                        f"in {mutant['file']}")
+        out += [f"{mutant['id']}: no test {test_id}"
+                for test_id in mutant["tests"] if not names_a_test(test_id)]
     return out
 
 

@@ -13,10 +13,11 @@ point anywhere, so counts are exact for any norm bound.
 The scan is a half-space scan: Q(x) = Q(-x), so it visits only the zero
 vector and the vectors whose highest-index nonzero coordinate is positive,
 and counts each of those twice (Fincke & Pohst, Math. Comp. 44, 1985, on
-the enumeration).  The innermost level is not scanned vector by vector: its
-share of the histogram depends only on the remaining budget, on the centre
-c_0 modulo p_0 and on the half-space flag, so each call keeps a table of
-those leaf histograms under that key and adds a stored one on every repeat.
+the enumeration).  So x_i >= 0 while the budget is whole, LAM*norm_max,
+as it is exactly while every higher coordinate is 0.  Level 0 is a lookup:
+its share of the histogram depends only on the remaining budget and on the
+centre c_0 mod p_0, so each call keeps a table of leaf histograms under the
+key (budget, c_0 mod p_0) and adds a stored one on every repeat.
 """
 
 from __future__ import annotations
@@ -72,15 +73,15 @@ def count_by_norm(gram, norm_max: int) -> list:
     """Counts[n] of lattice vectors with Q(x) = n, for 0 <= n <= norm_max.
 
     Raises NotPositiveDefinite at the first pivot p_i <= 0, whatever
-    norm_max is.  Level i steps x_i, so t_i moves by p_i, and spends
-    w_i*t_i**2 of the budget LAM*norm_max.  A ``lead`` flag marks the
-    levels above which every coordinate is 0: there the offset
-    sum_{j>i} a_ij*x_j is 0 and only x_i >= 0 is scanned; elsewhere the
-    centre c_i = sum_{j>i} a_ij*x_j runs over the nonzero a_ij only.  The
-    innermost level steps t_0 = c_0 (mod p_0) directly, and its norm index
+    norm_max is.  Level i steps x_i, so t_i moves by p_i around the centre
+    c_i = sum_{j>i} a_ij*x_j, which runs over the nonzero a_ij only, and
+    spends w_i*t_i**2 of the budget LAM*norm_max.  The budget is whole
+    exactly while every higher coordinate is 0, since the top centre is 0
+    and every p_j > 0; there c_i is 0 and x_i >= 0 is scanned.  The
+    innermost level steps t_0 = c_0 (mod p_0), and its norm index
     (LAM*norm_max - budget + w_0*t_0**2)/LAM depends on nothing but the
     budget and t_0.  So level 1 looks each leaf up in a table local to the
-    call, keyed by (budget, c_0 mod p_0, lead), whose entries are tuples of
+    call, keyed by (budget, c_0 mod p_0), whose entries are tuples of
     (norm index, multiplicity) pairs built on the first miss.
     """
     rows = pivot_rows(gram)
@@ -108,47 +109,43 @@ def count_by_norm(gram, norm_max: int) -> list:
     offsets = [[(j, row[j]) for j in range(i + 1, rank) if row[j]]
                for i, row in enumerate(rows)]
     p0, w0 = rows[0][0], weights[0]
-    leaves = {}             # (budget, c_0 mod p_0, lead) -> leaf's pairs
+    leaves = {}             # (budget, c_0 mod p_0) -> leaf's pairs
 
-    def leaf(budget: int, r: int, lead: bool) -> tuple:
+    def span(budget: int, p: int, w: int, c: int) -> range:
+        """The x with w*(p*x + c)**2 <= budget, x >= 0 while the budget is
+        whole."""
+        s = isqrt(budget // w)
+        lo = 0 if budget == budget0 else -((s + c) // p)
+        return range(lo, (s - c) // p + 1)
+
+    def leaf(budget: int, r: int) -> tuple:
         """Level 0's (norm index, multiplicity) pairs at this budget, over
-        t_0 = r (mod p_0), with t_0 >= 0 under ``lead``."""
-        s = isqrt(budget // w0)
-        lo = 0 if lead else -((s + r) // p0)
-        hi = (s - r) // p0
+        t_0 = p_0*x + r."""
         base = budget0 - budget
         hist = {}
-        for t in range(p0 * lo + r, p0 * hi + r + 1, p0):
+        for x in span(budget, p0, w0, r):
+            t = p0 * x + r
             n = (base + w0 * t * t) // lam
             hist[n] = hist.get(n, 0) + 2
-        if lead:
+        if budget == budget0:
             hist[0] -= 1        # the zero vector is its own negative
         return tuple(hist.items())
 
-    def descend(i: int, budget: int, lead: bool) -> None:
-        row = rows[i]
+    def descend(i: int, budget: int) -> None:
         c = 0
-        if not lead:
-            for j, a in offsets[i]:
-                c += a * xs[j]
-        p, w = row[i], weights[i]
-        s = isqrt(budget // w)
-        lo = 0 if lead else -((s + c) // p)
-        hi = (s - c) // p
-        if i > 1:
-            for x in range(lo, hi + 1):
-                xs[i] = x
-                t = p * x + c
-                descend(i - 1, budget - w * t * t, lead and not x)
-        else:
-            # level 0 from the table; under lead every xs[j] is 0, so c_0 = 0
-            for x in range(lo, hi + 1):
-                xs[1] = x
-                t = p * x + c
+        for j, a in offsets[i]:
+            c += a * xs[j]
+        p, w = rows[i][i], weights[i]
+        for x in span(budget, p, w, c):
+            xs[i] = x
+            t = p * x + c
+            if i > 1:
+                descend(i - 1, budget - w * t * t)
+            else:               # level 0 from the table
                 c0 = 0
                 for j, a in offsets[0]:
                     c0 += a * xs[j]
-                key = (budget - w * t * t, c0 % p0, lead and not x)
+                key = (budget - w * t * t, c0 % p0)
                 pairs = leaves.get(key)
                 if pairs is None:
                     pairs = leaves[key] = leaf(*key)
@@ -157,8 +154,8 @@ def count_by_norm(gram, norm_max: int) -> list:
         xs[i] = 0
 
     if rank == 1:
-        for n, m in leaf(budget0, 0, True):
+        for n, m in leaf(budget0, 0):
             counts[n] += m
     else:
-        descend(rank - 1, budget0, True)
+        descend(rank - 1, budget0)
     return counts

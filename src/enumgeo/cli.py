@@ -432,7 +432,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        line = f"error: {exc}"
+        if len(line) > 400:     # a huge bad input is quoted only in part
+            line = f"{line[:400]}... [{len(line)} characters]"
+        print(line, file=sys.stderr)
         return 2
 
 

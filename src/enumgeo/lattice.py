@@ -245,7 +245,6 @@ def exceptional_classes(k: int, degree_bound: int = 6) -> list:
             for c in range(-bound, bound + 1):
                 partial[i] = c
                 descend(i + 1, rsum - c, rsq - c * c)
-            partial[i] = 0
 
         descend(0, target_sum, target_sq)
     return results              # distinct, and in lexicographic order

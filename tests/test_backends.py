@@ -197,7 +197,7 @@ class TestHalfSpaceScan(object):
                 count_full(prepare_fraction(gram), norm_max), (gram, norm_max)
 
     def test_no_state_survives_a_call(self):
-        # both forms start with the leaf key (4, 0, True): budget
+        # both forms start with the leaf key (4, 0): budget
         # LAM*norm_max = 1*4 and 2*2, yet the leaves differ; then two
         # random forms and E8 back to back, each scanned twice
         square, skew = ((1, 0), (0, 1)), ((1, 0), (0, 2))
@@ -211,6 +211,20 @@ class TestHalfSpaceScan(object):
         for _ in range(2):
             for (gram, norm_max), want in zip(cases, expected):
                 assert pure.count_by_norm(gram, norm_max) == want, gram
+
+    def test_a2_to_norm_1200(self):
+        # A2's pivot row a_01 = -1 moves c_0 inside level 1's loop, which
+        # E8's a_01 = 0 never does; Q = 2(x^2 - xy + y^2) takes the value
+        # 2m in 6*sum_{d | m} chi_-3(d) ways, chi_-3(d) = 0, 1, -1 for
+        # d = 0, 1, 2 (mod 3)
+        half = 600
+        sums = [0] * (half + 1)
+        for d in range(1, half + 1):
+            for m in range(d, half + 1, d):
+                sums[m] += (0, 1, -1)[d % 3]
+        expected = [1] + [0 if n % 2 else 6 * sums[n // 2]
+                          for n in range(1, 2 * half + 1)]
+        assert pure.count_by_norm(((2, -1), (-1, 2)), 2 * half) == expected
 
     def test_e8_theta_coefficients(self):
         gram = lat.e8_lattice().gram

@@ -375,6 +375,43 @@ class TestErrorLines(object):
         assert rc == 2 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith(line)
 
+    FIT = ("fit", "--weight", "4", "--eta-exponent", "0", "--target")
+    WALL_V = {"r": 2, "a_h": 5, "a_K": 0, "a_sq": 1}
+
+    @pytest.mark.parametrize("argv, env, wall", [
+        (FIT + ("1=" + "7" * 5000,), None, None),
+        (FIT + ("1=" + "x" * 5000,), None, None),
+        (("lattice", "genus", "--beta", "x" * 5000), None, None),
+        (("expand", "eta-quotient"), "x" * 5000, None),
+        (("sw", "mochizuki", "--file"), None, {"v": {"r": "x" * 5000}}),
+        (("sw", "mochizuki", "--file"), None,
+         {"v": dict(WALL_V, n=[1] * 5000)}),
+    ], ids=["fit-5000-digits", "fit-5000-letters", "genus-5000-chars",
+            "env-order-5000-chars", "wall-value-5000-chars",
+            "wall-pair-5000-items"])
+    def test_huge_bad_input_is_quoted_in_part(self, capsys, monkeypatch,
+                                              tmp_path, argv, env, wall):
+        if env is not None:
+            monkeypatch.setenv("ENUMGEO_ORDER", env)
+        if wall is not None:
+            path = tmp_path / "wall.json"
+            path.write_text(json.dumps(wall))
+            argv += (str(path),)
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert len(err.encode()) < 450
+
+    def test_line_is_cut_only_past_400_characters(self, capsys):
+        # the genus error line is 114 characters besides the quoted beta
+        for size, cut in ((286, ""), (287, "... [401 characters]")):
+            rc, _, err = run_cli(capsys, "lattice", "genus", "--beta",
+                                 "x" * size)
+            full = ("error: vector must be a name (B, F, K, e0, e1, e2, e3, "
+                    "e4, e5, e6, e7, e8, e9) or comma-separated integers, "
+                    f"got '{'x' * size}'")
+            assert rc == 2 and err == full[:400] + cut + "\n"
+
 
 def subcommands(parser):
     """Subcommand name -> parser, for a parser that has subcommands."""
