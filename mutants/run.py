@@ -6,13 +6,15 @@ named tests fail.
 A mutant is data: the file it changes, the exact old text, the new text,
 and the ids of the tests that must fail.  The runner first refuses the deck
 if some mutant's old text does not occur exactly once in its file, so a
-refactor cannot retire a mutant without a word, or if a mutant names a test
-whose file, class or function does not exist.  It then copies ``src/``,
-``tests/``, ``pyproject.toml`` and the files the tests read (``README.md``,
-``geobench/goldens.json``, ``geobench/jobs.py``) to a temporary directory:
-pytest's ``pythonpath = ["src"]`` imports the tree it runs in, so a mutant
-must be applied to a copy.  The unmutated copy must pass every named test;
-then each mutant is applied alone and only its tests run.
+refactor cannot retire a mutant without a word; if the mutated file does
+not compile, since every test of a file that fails to import fails; or if
+a mutant names a test whose file, class or function does not exist.  It
+then copies ``src/``, ``tests/``, ``pyproject.toml`` and the files the
+tests read (``README.md``, ``geobench/goldens.json``, ``geobench/jobs.py``)
+to a temporary directory: pytest's ``pythonpath = ["src"]`` imports the
+tree it runs in, so a mutant must be applied to a copy.  The unmutated copy
+must pass every named test; then each mutant is applied alone and only its
+tests run.
 
 Exit status: 0 when every mutant is killed, 1 when a mutant survives or the
 unmutated copy fails, 2 when the deck is refused.  Not part of tier-1: it
@@ -61,8 +63,9 @@ def names_a_test(test_id: str) -> bool:
 
 
 def refusals(deck) -> list:
-    """One line for each mutant whose old text is not in its file once,
-    and for each test id that names no test."""
+    """One line for each mutant whose old text is not in its file once or
+    whose mutated file does not compile, and for each test id that names
+    no test."""
     out = []
     for mutant in deck:
         path = ROOT / mutant["file"]
@@ -71,6 +74,13 @@ def refusals(deck) -> list:
         if count != 1:
             out.append(f"{mutant['id']}: old text occurs {count} times "
                        f"in {mutant['file']}")
+        elif path.suffix == ".py":
+            try:
+                compile(text.replace(mutant["old"], mutant["new"]),
+                        mutant["file"], "exec")
+            except (SyntaxError, ValueError) as exc:
+                out.append(f"{mutant['id']}: the mutated {mutant['file']} "
+                           f"does not compile: {exc}")
         out += [f"{mutant['id']}: no test {test_id}"
                 for test_id in mutant["tests"] if not names_a_test(test_id)]
     return out

@@ -293,8 +293,21 @@ def _cmd_fit(args) -> int:
 
 # -- parser ------------------------------------------------------------------
 
+def _cut(line: str) -> str:
+    """``line``, or past 400 characters its first 400 and its length: a
+    huge bad input is quoted only in part."""
+    if len(line) > 400:
+        return f"{line[:400]}... [{len(line)} characters]"
+    return line
+
+
 class _Fallback(Exception):
     """Raised by a path tree's parsers instead of printing an error."""
+
+
+class _TreeParser(argparse.ArgumentParser):
+    def error(self, message):
+        super().error(_cut(message))
 
 
 class _PathParser(argparse.ArgumentParser):
@@ -307,9 +320,10 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     command path: the root, the group (``lattice`` or ``sw``) if there is
     one, and the leaf.  A path tree's parsers raise ``_Fallback`` from
     ``error()`` instead of printing, and argv that names no leaf gets the
-    full tree; the full tree prints every error and all group help."""
+    full tree; the full tree prints every error, cut as ``main`` cuts its
+    own, and all group help."""
     words = None if argv is None else list(argv[:2])
-    parser = (argparse.ArgumentParser if words is None else _PathParser)(
+    parser = (_TreeParser if words is None else _PathParser)(
         prog="enumgeo",
         description="Exact q-series, modular forms and surface-lattice "
                     "arithmetic for enumerative invariants.")
@@ -432,10 +446,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError) as exc:
-        line = f"error: {exc}"
-        if len(line) > 400:     # a huge bad input is quoted only in part
-            line = f"{line[:400]}... [{len(line)} characters]"
-        print(line, file=sys.stderr)
+        print(_cut(f"error: {exc}"), file=sys.stderr)
         return 2
 
 

@@ -20,7 +20,7 @@ from typing import Sequence, Union
 from .lattice import ParityViolation
 from .modforms import divisor_sigma, theta_e8
 from .series import (BiSeries, QSeries, _as_fraction, _eta_power,
-                     _euler_product_t, product_family)
+                     _euler_product_t, _padded, product_family)
 
 Rational = Union[int, Fraction]
 
@@ -63,7 +63,8 @@ class SurfaceData:
     b1_zero: bool = True
 
     def __post_init__(self):
-        b = tuple(operator.index(x) for x in self.betti)
+        # from a list: see series._scaled on tuples built from generators
+        b = tuple([operator.index(x) for x in self.betti])
         if len(b) != 5:
             raise ValueError("five Betti numbers b0..b4 required")
         object.__setattr__(self, "betti", b)
@@ -143,7 +144,8 @@ def _goettsche_packed(betti: Sequence[int], order: int) -> BiSeries:
     power of two."""
     factors = [(m, 2 * m - 2 + i, (-1) ** i, b if i % 2 else -b)
                for m in range(1, order + 1) for i, b in enumerate(betti) if b]
-    return BiSeries(_euler_product_t(factors, order), order=order)
+    return BiSeries._from_rows(
+        _padded(_euler_product_t(factors, order), order, [0]))
 
 
 def goettsche_series(surface: SurfaceData, order: int) -> BiSeries:
@@ -160,7 +162,8 @@ def goettsche_series(surface: SurfaceData, order: int) -> BiSeries:
     """
     b = surface.betti
     if (b[0], b[1], b[3], b[4]) == (1, 0, 0, 1):
-        return BiSeries(_goettsche_lerch(b[2], order), order=order)
+        return BiSeries._from_rows(
+            _padded(_goettsche_lerch(b[2], order), order, [0]))
     return _goettsche_packed(b, order)
 
 
@@ -173,9 +176,8 @@ def bryan_leung_series(genus: int, order: int) -> QSeries:
     base = product_family(lambda m: -12, order)
     if genus == 0:
         return base
-    prefactor = QSeries(
-        [(k + 1) * divisor_sigma(k + 1, 1) for k in range(order + 1)],
-        order=order)
+    prefactor = QSeries._from_ints(
+        [(k + 1) * divisor_sigma(k + 1, 1) for k in range(order + 1)])
     return prefactor ** genus * base
 
 

@@ -19,7 +19,7 @@ from typing import Sequence
 
 from . import lattice as _lattice
 from .series import (QSeries, SeriesError, _as_fraction, _eta_power,
-                     _product, _scaled, product_family)
+                     _padded, _product, _scaled, product_family)
 
 #: weight -> (prefactor of the divisor sum, divisor power)
 _EISENSTEIN = {2: (-24, 1), 4: (240, 3), 6: (-504, 5)}
@@ -60,7 +60,8 @@ def eisenstein(weight: int, order: int) -> QSeries:
     if operator.index(weight) not in _EISENSTEIN:
         raise OddOrNonpositiveWeight(
             f"Eisenstein weight must be 2, 4 or 6, got {weight}")
-    return QSeries(_eisenstein_ints(weight, order), order=order)
+    return QSeries._from_ints(_padded(_eisenstein_ints(weight, order),
+                                      order, 0))
 
 
 def eta_quotient(exponent: int, order: int) -> QSeries:
@@ -93,7 +94,7 @@ def theta_e8(order: int, method: str = "eisenstein") -> QSeries:
     if method == "eisenstein":
         return eisenstein(4, order)
     if method == "lattice":
-        return QSeries(_theta_counts(order), order=order)
+        return QSeries._from_ints(_theta_counts(order))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -191,7 +192,7 @@ def solve_exact(rows: Sequence, rhs: Sequence) -> tuple:
         raise ValueError("one right-hand side per row required")
     n = len(rows[0]) if m else 0
     # an int passes as it is: _scaled reads only numerator and denominator
-    aug = [[x if type(x) is int else _as_fraction(x) for x in (*row, b)]
+    aug = [[x if type(x) is int else _as_fraction(x) for x in [*row, b]]
            for row, b in zip(rows, rhs)]
     if any(len(row) != n + 1 for row in aug):
         raise ValueError("ragged coefficient matrix")
@@ -233,7 +234,8 @@ def solve_exact(rows: Sequence, rhs: Sequence) -> tuple:
         # exact re-verification against the original system
         if any(sum(map(operator.mul, row, x)) for row in original):
             raise AssertionError("elimination produced a bad solution")
-        solutions.append(tuple(Fraction(v, prev) for v in x[:n]))
+        # from a list: see series._scaled on tuples built from generators
+        solutions.append(tuple([Fraction(v, prev) for v in x[:n]]))
     particular = solutions.pop(0) if consistent else None
     return consistent, particular, tuple(solutions)
 

@@ -1,17 +1,26 @@
 """Truncated power series with exact rational coefficients.
 
-A series is stored as coefficients c_0..c_N of a named variable together
-with a global rational exponent ``shift``, representing
+A series is c_0..c_N in a named variable together with a global rational
+exponent ``shift``, representing
 
     q**shift * (c_0 + c_1*q + ... + c_N*q**N).
 
 The shift carries fractional prefactors such as q**(1/24) through products
 exactly; ring operations (exp, log, q*d/dq, addition of scalars) require a
-zero shift.  All arithmetic is exact over ``fractions.Fraction``; nothing
-here ever rounds.
+zero shift.  All arithmetic is exact; nothing here ever rounds.
 
-Every operation runs on Python integers over common denominators.  A
-product packs each operand's numerators into one integer and multiplies
+A ``QSeries`` stores c_k = n_k / d: integer numerators n_0..n_N over one
+denominator d > 0, reduced so that gcd(d, n_0, ..., n_N) = 1.  Every
+operation runs on those integers and reduces its result with one gcd.
+``Fraction`` objects exist only at the API edge: ``coeffs`` and
+``coefficients()`` build a tuple of them, ``coefficient(k)`` one, and
+``str`` and ``repr`` print them; ``to_json_dict`` writes each n_k / d in
+lowest terms by one gcd, without them.  The public constructor takes ints
+and Fractions and checks them; integer producers, such as
+``product_family``, ``modforms.eisenstein`` and ``BiSeries.eval_t``, hand
+their numerators to the trusted ``QSeries._from_ints``.
+
+A product packs each operand's numerators into one integer and multiplies
 once (Kronecker substitution, ``_product``).  Quotients, inverse, log and
 exp are forward substitutions (``_substitute``).  A power of Euler's
 function prod (1 - q**m)**e comes from the pentagonal series
@@ -25,7 +34,9 @@ holding the coefficient of t**i, and read it back with ``_t_poly``; no
 other module knows that packed format.  The
 Göttsche product of Betti numbers (1, 0, b2, 0, 1) needs no packing:
 ``invariants`` builds it from an Appell-Lerch sum and ``_eta_power``;
-every other Betti vector keeps the packed ``_euler_product_t``.
+every other Betti vector keeps the packed ``_euler_product_t``.  Kernel
+rows reach ``BiSeries`` through the trusted ``BiSeries._from_rows``, which
+only trims them; the public constructor checks every coefficient.
 
 Both classes derive from ``_Frozen``: they are immutable and unhashable,
 compare equal up to the smaller order, and copy, deepcopy and pickle.
@@ -83,7 +94,11 @@ def _as_fraction(value: Rational) -> Fraction:
 
 def _scaled(coeffs) -> tuple:
     """Integer numerators over the lcm of the denominators, and that lcm."""
-    den = lcm(*(c.denominator for c in coeffs))
+    # star-arguments from a set, not a generator: CPython resizes a tuple
+    # built from a generator, and a freed resized tuple of 20 items or
+    # fewer stays in the free list of its size until a full garbage
+    # collection, which integer code seldom triggers, so RSS would grow
+    den = lcm(*{c.denominator for c in coeffs})
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
@@ -118,26 +133,27 @@ def _product(xs: list, ys: list) -> list:
     one bigint product of the packed lists (Kronecker substitution).  The
     digits hold the operands too, also when the other one is zero."""
     n = len(xs)
-    width = _width(max(1, *map(abs, xs)) * max(1, *map(abs, ys)) * n)
+    width = _width(max(1, max(map(abs, xs))) * max(1, max(map(abs, ys)))
+                   * n)        # no star-arguments: see _scaled
     return _unpack(_pack(xs, width) * _pack(ys, width), width, 2 * n - 1)[:n]
 
 
-def _substitute(bs, ws, vs) -> list:
-    """x_0..x_(n-1) with v_m*x_m = b_m - sum_{k=1..m} w_k*x_(m-k), for
-    rationals b_m, w_k and nonzero v_m.  b and w are scaled to integers,
-    and the x found so far are kept as integer numerators over their least
-    common denominator, so each step is one integer inner product."""
-    (bs, db), (ws, dw) = _scaled(bs), _scaled(ws)
+def _substitute(bs, ws, vs) -> tuple:
+    """(xs, den): x_0..x_(n-1) with v_m*x_m = b_m - sum_{k=1..m} w_k*x_(m-k),
+    for integers b_m, w_k and nonzero v_m, as integer numerators xs over
+    their least common denominator den, up to sign, so each step is one
+    integer inner product."""
     xs, den = [], 1
     for b, v in zip(bs, vs):
-        s = b * dw * den - db * sum(map(mul, ws, reversed(xs)))
-        x = Fraction(s * v.denominator, db * dw * den * v.numerator)
-        if den % x.denominator:
-            scale = x.denominator // gcd(den, x.denominator)
+        s = b * den - sum(map(mul, ws, reversed(xs)))
+        g = gcd(s, den * v)
+        d = den * v // g        # x_m = (s // g) / d in lowest terms
+        if den % d:
+            scale = d // gcd(den, d)
             xs = [y * scale for y in xs]
             den *= scale
-        xs.append(x.numerator * (den // x.denominator))
-    return [Fraction(y, den) for y in xs]
+        xs.append(s // g * (den // d))
+    return xs, den
 
 
 def _euler_product(factors: Iterable, order: int) -> list:
@@ -249,8 +265,10 @@ def _padded(items: list, order: int | None, fill) -> list:
 
 
 class _Frozen:
-    """An immutable series ``coeffs[0..order]`` in the variables named by
-    ``_names``; equal up to the smaller order, so no hash can agree."""
+    """An immutable series of coefficients 0..order in the variables named
+    by ``_names``; equal up to the smaller order, so no hash can agree.
+    ``_at(k)`` is coefficient k and ``_head(n)`` a canonical form of
+    coefficients 0..n-1."""
 
     __slots__ = ()
 
@@ -272,29 +290,54 @@ class _Frozen:
         if k < 0 or k > self.order:
             raise OrderExceeded(
                 f"coefficient {k} requested, stored order is {self.order}")
-        return self.coeffs[k]
+        return self._at(k)
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
         n = min(self.order, other.order) + 1
         return (all(getattr(self, a) == getattr(other, a) for a in self._names)
-                and self.coeffs[:n] == other.coeffs[:n])
+                and self._head(n) == other._head(n))
 
 
 class QSeries(_Frozen):
-    """An exact truncated power series q**shift * sum(c_k q**k, k=0..order)."""
+    """An exact truncated power series q**shift * sum(c_k q**k, k=0..order),
+    stored as c_k = _nums[k] / _den in lowest terms."""
 
-    __slots__ = ("var", "order", "shift", "coeffs")
+    __slots__ = ("var", "order", "shift", "_nums", "_den")
     _names = ("var", "shift")
 
     def __init__(self, coeffs: Iterable[Rational], var: str = "q",
                  shift: Rational = 0, order: int | None = None):
-        cs = _padded([_as_fraction(c) for c in coeffs], order, Fraction(0))
+        cs = _padded([c if type(c) is int else _as_fraction(c)
+                      for c in coeffs], order, 0)
+        self._store(*_scaled(cs), var, _as_fraction(shift))
+
+    @classmethod
+    def _from_ints(cls, nums: Sequence[int], den: int = 1, var: str = "q",
+                   shift: Fraction = Fraction(0)) -> "QSeries":
+        """Trusted: sum(nums[k] * q**k) / den for integers nums, a nonzero
+        integer den and a Fraction shift, reduced here; nothing is
+        checked."""
+        self = object.__new__(cls)
+        self._store(nums, den, var, shift)
+        return self
+
+    def _store(self, nums, den, var, shift):
+        """Set the slots, with nums/den reduced to gcd(den, *nums) = 1 and
+        den > 0."""
+        if den != 1:
+            g = gcd(den, *nums)
+            if den < 0:
+                g = -g
+            if g != 1:
+                nums = [x // g for x in nums]
+                den //= g
         object.__setattr__(self, "var", var)
-        object.__setattr__(self, "order", len(cs) - 1)
-        object.__setattr__(self, "shift", _as_fraction(shift))
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "order", len(nums) - 1)
+        object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "_nums", tuple(nums))
+        object.__setattr__(self, "_den", den)
 
     # -- constructors ------------------------------------------------------
 
@@ -319,32 +362,47 @@ class QSeries(_Frozen):
 
     # -- basic access ------------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple:
+        """c_0..c_order as Fractions, built on each access."""
+        den = self._den
+        return tuple([Fraction(x, den) for x in self._nums])
+
     def coefficients(self) -> tuple:
         return self.coeffs
 
+    def _at(self, k: int) -> Fraction:
+        return Fraction(self._nums[k], self._den)
+
+    def _head(self, n: int) -> tuple:
+        """c_0..c_(n-1) in lowest terms over one denominator."""
+        nums = self._nums[:n]
+        g = gcd(self._den, *nums)
+        return self._den // g, [x // g for x in nums]
+
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self._nums)
 
     def truncate(self, order: int) -> "QSeries":
         """Drop to a smaller order; extension is never silent."""
         if order > self.order:
             raise OrderExceeded(
                 f"cannot extend order {self.order} to {order}")
-        return QSeries(self.coeffs[: order + 1], var=self.var,
-                       shift=self.shift, order=order)
+        nums = _padded(list(self._nums[: order + 1]), order, 0)
+        return QSeries._from_ints(nums, self._den, self.var, self.shift)
 
     def with_shift(self, shift: Rational) -> "QSeries":
         """Same coefficients, different exponent shift."""
-        return QSeries(self.coeffs, var=self.var, shift=shift, order=self.order)
+        return QSeries._from_ints(self._nums, self._den, self.var,
+                                  _as_fraction(shift))
 
     def absorb_shift(self) -> "QSeries":
         """Fold a non-negative integer shift into the coefficient array."""
         if self.shift.denominator != 1 or self.shift < 0:
             raise ShiftMismatch(
                 f"cannot absorb shift {self.shift} into integer exponents")
-        s = int(self.shift)
-        return QSeries((Fraction(0),) * s + self.coeffs, var=self.var,
-                       shift=0, order=self.order + s)
+        return QSeries._from_ints((0,) * int(self.shift) + self._nums,
+                                  self._den, self.var)
 
     # -- ring structure ----------------------------------------------------
 
@@ -363,15 +421,17 @@ class QSeries(_Frozen):
             return NotImplemented
         if self.shift != g.shift:
             raise ShiftMismatch(f"{self.shift} vs {g.shift}")
-        n = min(self.order, g.order)
-        return QSeries([self.coeffs[k] + g.coeffs[k] for k in range(n + 1)],
-                       var=self.var, shift=self.shift, order=n)
+        den = lcm(self._den, g._den)
+        a, b = den // self._den, den // g._den
+        return QSeries._from_ints(
+            [x * a + y * b for x, y in zip(self._nums, g._nums)],
+            den, self.var, self.shift)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QSeries([-c for c in self.coeffs], var=self.var,
-                       shift=self.shift, order=self.order)
+        return QSeries._from_ints([-x for x in self._nums], self._den,
+                                  self.var, self.shift)
 
     def __sub__(self, other):
         g = self._coerce(other)
@@ -388,16 +448,16 @@ class QSeries(_Frozen):
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = _as_fraction(other)
-            return QSeries([c * x for x in self.coeffs], var=self.var,
-                           shift=self.shift, order=self.order)
+            return QSeries._from_ints([c.numerator * x for x in self._nums],
+                                      self._den * c.denominator, self.var,
+                                      self.shift)
         g = self._coerce(other)
         if g is None:
             return NotImplemented
         n = min(self.order, g.order) + 1
-        (xs, dx), (ys, dy) = _scaled(self.coeffs[:n]), _scaled(g.coeffs[:n])
-        den = dx * dy
-        return QSeries([Fraction(z, den) for z in _product(xs, ys)],
-                       var=self.var, shift=self.shift + g.shift, order=n - 1)
+        return QSeries._from_ints(_product(self._nums[:n], g._nums[:n]),
+                                  self._den * g._den, self.var,
+                                  self.shift + g.shift)
 
     __rmul__ = __mul__
 
@@ -410,12 +470,13 @@ class QSeries(_Frozen):
         g = self._coerce(other)
         if g is None:
             return NotImplemented
-        if g.coeffs[0] == 0:
+        if g._nums[0] == 0:
             raise NonUnitConstantTerm("cannot invert: constant term is zero")
+        # (F/df) / (G/dg) = (dg/df) * F/G
         n = min(self.order, g.order) + 1
-        xs = _substitute(self.coeffs[:n], g.coeffs[1:n], [g.coeffs[0]] * n)
-        return QSeries(xs, var=self.var, shift=self.shift - g.shift,
-                       order=n - 1)
+        ys, den = _substitute(self._nums[:n], g._nums[1:n], [g._nums[0]] * n)
+        return QSeries._from_ints([y * g._den for y in ys], den * self._den,
+                                  self.var, self.shift - g.shift)
 
     def invert(self) -> "QSeries":
         """Multiplicative inverse; the constant term must be a unit.
@@ -442,33 +503,42 @@ class QSeries(_Frozen):
 
     def exp(self) -> "QSeries":
         """exp of a series with zero constant term and zero shift:
-        g = exp h solves n*g_n = sum_{k=1..n} k*h_k*g_(n-k), g_0 = 1."""
+        g = exp h solves n*g_n = sum_{k=1..n} k*h_k*g_(n-k), g_0 = 1; with
+        h = H/d, that is n*d*g_n = sum k*H_k*g_(n-k)."""
         if self.shift != 0:
             raise ShiftMismatch("exp requires shift 0")
-        if self.coeffs[0] != 0:
+        if self._nums[0] != 0:
             raise NonzeroConstantTerm("exp requires constant term 0")
-        khs = [-kh for kh in self.q_d_dq().coeffs[1:]]
-        gs = _substitute([1] + [0] * self.order, khs,
-                         [1, *range(1, self.order + 1)])
-        return QSeries(gs, var=self.var, order=self.order)
+        d = self._den
+        ws = [-k * h for k, h in enumerate(self._nums[1:], 1)]
+        gs, den = _substitute([1] + [0] * self.order, ws,
+                              [1, *range(d, d * self.order + 1, d)])
+        return QSeries._from_ints(gs, den, self.var)
 
     def log(self) -> "QSeries":
-        """log of a series with constant term one and zero shift:
-        the integral of (q*d/dq f) / f, one forward substitution."""
+        """log of a series with constant term one and zero shift: the
+        integral of (q*d/dq f) / f, one forward substitution.  The quotient
+        is (k*F_k) / F for f = F/d, so d cancels."""
         if self.shift != 0:
             raise ShiftMismatch("log requires shift 0")
-        if self.coeffs[0] != 1:
+        fs = self._nums
+        if fs[0] != self._den:
             raise ConstantTermNotOne("log requires constant term 1")
-        d = (self.q_d_dq() / self).coeffs
-        return QSeries([0] + [c / k for k, c in enumerate(d[1:], 1)],
-                       var=self.var, order=self.order)
+        ds, den = _substitute([k * f for k, f in enumerate(fs)], fs[1:],
+                              [fs[0]] * len(fs))
+        # h_k = d_k / (k*den) over den*m, m the lcm of the denominators
+        # k/gcd(d_k, k) of the d_k/k, which makes each d_k*m/k whole
+        m = lcm(*[k // gcd(x, k) for k, x in enumerate(ds[1:], 1)])
+        return QSeries._from_ints(
+            [0] + [x * m // k for k, x in enumerate(ds[1:], 1)],
+            den * m, self.var)
 
     def q_d_dq(self) -> "QSeries":
         """The operator q*d/dq: c_k -> k*c_k.  Needs shift 0."""
         if self.shift != 0:
             raise ShiftMismatch("q*d/dq requires shift 0")
-        return QSeries([k * c for k, c in enumerate(self.coeffs)],
-                       var=self.var, order=self.order)
+        return QSeries._from_ints([k * x for k, x in enumerate(self._nums)],
+                                  self._den, self.var)
 
     # -- display -----------------------------------------------------------
 
@@ -480,7 +550,7 @@ class QSeries(_Frozen):
         return body
 
     def __repr__(self):
-        cs = ", ".join(str(c) for c in self.coeffs[:8])
+        cs = ", ".join(str(self._at(k)) for k in range(min(8, self.order + 1)))
         if self.order >= 8:
             cs += ", ..."
         return (f"QSeries({self.var!r}, order={self.order}, "
@@ -489,13 +559,15 @@ class QSeries(_Frozen):
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        """Schema: numerator/denominator pairs as decimal strings."""
+        """Schema: numerator/denominator pairs as decimal strings, each in
+        lowest terms."""
+        den = self._den
         return {
             "var": self.var,
             "shift": [str(self.shift.numerator), str(self.shift.denominator)],
             "order": self.order,
-            "coeffs": [[str(c.numerator), str(c.denominator)]
-                       for c in self.coeffs],
+            "coeffs": [[str(x // (g := gcd(x, den))), str(den // g)]
+                       for x in self._nums],
         }
 
     @classmethod
@@ -522,6 +594,18 @@ class BiSeries(_Frozen):
             if len(poly) - 1 > 4 * k:
                 raise SeriesError(
                     f"t-degree {len(poly) - 1} at q^{k} exceeds bound {4 * k}")
+        self._store(polys, var_q, var_t)
+
+    @classmethod
+    def _from_rows(cls, rows: list, var_q: str = "q",
+                   var_t: str = "t") -> "BiSeries":
+        """Trusted: integer lists of t-degree at most 4k at q**k, trimmed
+        here; nothing is checked."""
+        self = object.__new__(cls)
+        self._store([cls._trim(row) for row in rows], var_q, var_t)
+        return self
+
+    def _store(self, polys, var_q, var_t):
         object.__setattr__(self, "var_q", var_q)
         object.__setattr__(self, "var_t", var_t)
         object.__setattr__(self, "order", len(polys) - 1)
@@ -532,6 +616,12 @@ class BiSeries(_Frozen):
         while len(poly) > 1 and poly[-1] == 0:
             poly.pop()
         return poly or [0]
+
+    def _at(self, k: int) -> tuple:
+        return self.coeffs[k]
+
+    def _head(self, n: int) -> tuple:
+        return self.coeffs[:n]
 
     @classmethod
     def one(cls, order: int, var_q: str = "q", var_t: str = "t") -> "BiSeries":
@@ -554,25 +644,26 @@ class BiSeries(_Frozen):
         xs, ys = ([_pack(p, width) for p in f] for f in (fs, gs))
         zs = [sum(map(mul, xs[:m + 1], reversed(ys[:m + 1])))
               for m in range(n)]
-        return BiSeries([_t_poly(z, width) for z in zs],
-                        var_q=self.var_q, var_t=self.var_t, order=n - 1)
+        return BiSeries._from_rows([_t_poly(z, width) for z in zs],
+                                   self.var_q, self.var_t)
 
     def eval_t(self, value: Rational) -> QSeries:
         """Specialize the second variable to an exact rational v = p/r.
 
         Integer Horner over each t-polynomial of degree d gives
-        sum_k c_k p^k r^(d-k); one ``Fraction`` per q-coefficient divides
-        it by r^d."""
+        sum_k c_k p^k r^(d-k), the numerator of its value over r^d; scaled
+        by r^(D-d), D the largest degree, it is over r^D."""
         v = _as_fraction(value)
         p, r = v.numerator, v.denominator
-        cs = []
+        top = max(map(len, self.coeffs))
+        nums = []
         for poly in self.coeffs:
-            num, den = 0, 1
+            num, scale = 0, r ** (top - len(poly))
             for c in reversed(poly):
-                num = num * p + c * den
-                den *= r
-            cs.append(Fraction(num * r, den))
-        return QSeries(cs, var=self.var_q, order=self.order)
+                num = num * p + c * scale
+                scale *= r
+            nums.append(num)
+        return QSeries._from_ints(nums, r ** (top - 1), self.var_q)
 
     def __str__(self):
         lines = [f"{self.var_q}^{k}: {_poly_str(p, self.var_t)}"
@@ -623,4 +714,4 @@ def product_family(exponent: Callable[[int], int], order: int,
                                  enumerate(exponents, 1)], order)
     else:
         coeffs = _eta_power(exponents[0] if exponents else 0, order)
-    return QSeries(coeffs, var=var, order=order)
+    return QSeries._from_ints(_padded(coeffs, order, 0), var=var)

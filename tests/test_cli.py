@@ -402,6 +402,23 @@ class TestErrorLines(object):
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert len(err.encode()) < 450
 
+    @pytest.mark.parametrize("digits, cut", [
+        (5000, "... [5040 characters]"), (360, ""),
+    ], ids=["5000-digits", "360-digits"])
+    def test_argparse_error_is_cut(self, capsys, monkeypatch, digits, cut):
+        # argparse quotes a bad value in its own message; the message is
+        # cut as main cuts its own, and one under 400 characters is whole
+        monkeypatch.setenv("COLUMNS", "80")
+        value = "7" * digits + "x"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["expand", "eta-quotient", "--order", value])
+        out, err = capsys.readouterr()
+        message = f"argument --order: invalid int value: '{value}'"
+        line = f"enumgeo expand: error: {message[:400]}{cut}"
+        assert exc.value.code == 2 and out == ""
+        assert [x for x in err.splitlines() if "error:" in x] == [line]
+        assert err.endswith(line + "\n") and len(err.encode()) < 1000
+
     def test_line_is_cut_only_past_400_characters(self, capsys):
         # the genus error line is 114 characters besides the quoted beta
         for size, cut in ((286, ""), (287, "... [401 characters]")):

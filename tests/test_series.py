@@ -5,7 +5,8 @@ import json
 import pickle
 import random
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
+from operator import mul
 
 import pytest
 
@@ -27,6 +28,7 @@ from enumgeo.series import (
     _euler_product,
     _pack,
     _poly_str,
+    _product,
     _t_poly,
     _unpack,
 )
@@ -705,3 +707,247 @@ class TestSerialization:
         assert int_binomial(-12, 2) == 78
         assert int_binomial(5, 2) == 10
         assert int_binomial(-1, 3) == -1
+
+
+# -- the Fraction implementation, kept as the oracle of the integer one ------
+
+def fraction_scaled(coeffs):
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def fraction_substitute(bs, ws, vs):
+    """x_0..x_(n-1) as Fractions, v_m*x_m = b_m - sum w_k*x_(m-k)."""
+    (bs, db), (ws, dw) = fraction_scaled(bs), fraction_scaled(ws)
+    xs, den = [], 1
+    for b, v in zip(bs, vs):
+        s = b * dw * den - db * sum(map(mul, ws, reversed(xs)))
+        x = Fraction(s * v.denominator, db * dw * den * v.numerator)
+        if den % x.denominator:
+            scale = x.denominator // gcd(den, x.denominator)
+            xs = [y * scale for y in xs]
+            den *= scale
+        xs.append(x.numerator * (den // x.denominator))
+    return [Fraction(y, den) for y in xs]
+
+
+class FractionSeries:
+    """QSeries as it was before it stored integer numerators: a tuple of
+    Fractions, every operation written over them.  Only what the
+    differential tests call is kept."""
+
+    def __init__(self, coeffs, var="q", shift=0):
+        self.coeffs = tuple(Fraction(c) for c in coeffs)
+        self.var, self.shift = var, Fraction(shift)
+        self.order = len(self.coeffs) - 1
+
+    def _new(self, coeffs, shift=0):
+        return FractionSeries(coeffs, self.var, shift)
+
+    def _coerce(self, other):
+        if isinstance(other, FractionSeries):
+            return other
+        return self._new([other] + [0] * self.order)
+
+    def truncate(self, order):
+        return self._new(self.coeffs[:order + 1], self.shift)
+
+    def with_shift(self, shift):
+        return self._new(self.coeffs, shift)
+
+    def absorb_shift(self):
+        return self._new((Fraction(0),) * int(self.shift) + self.coeffs)
+
+    def __add__(self, other):
+        g = self._coerce(other)
+        assert self.shift == g.shift
+        n = min(self.order, g.order)
+        return self._new([self.coeffs[k] + g.coeffs[k] for k in range(n + 1)],
+                         self.shift)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._new([-c for c in self.coeffs], self.shift)
+
+    def __sub__(self, other):
+        return self + -self._coerce(other)
+
+    def __rsub__(self, other):
+        return self._coerce(other) + -self
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._new([other * c for c in self.coeffs], self.shift)
+        n = min(self.order, other.order) + 1
+        (xs, dx), (ys, dy) = (fraction_scaled(self.coeffs[:n]),
+                              fraction_scaled(other.coeffs[:n]))
+        return self._new([Fraction(z, dx * dy) for z in _product(xs, ys)],
+                         self.shift + other.shift)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self * (1 / Fraction(other))
+        n = min(self.order, other.order) + 1
+        xs = fraction_substitute(self.coeffs[:n], other.coeffs[1:n],
+                                 [other.coeffs[0]] * n)
+        return self._new(xs, self.shift - other.shift)
+
+    def invert(self):
+        return self._new([1] + [0] * self.order) / self
+
+    def __pow__(self, e):
+        if e == 0:
+            return self._new([1] + [0] * self.order)
+        base = self.invert() if e < 0 else self
+        result = base
+        for _ in range(abs(e) - 1):
+            result = result * base
+        return result
+
+    def exp(self):
+        khs = [-kh for kh in self.q_d_dq().coeffs[1:]]
+        return self._new(fraction_substitute(
+            [1] + [0] * self.order, khs, [1, *range(1, self.order + 1)]))
+
+    def log(self):
+        d = (self.q_d_dq() / self).coeffs
+        return self._new([0] + [c / k for k, c in enumerate(d[1:], 1)])
+
+    def q_d_dq(self):
+        return self._new([k * c for k, c in enumerate(self.coeffs)])
+
+    def __str__(self):
+        body = (f"{_poly_str(self.coeffs, self.var)}"
+                f" + O({self.var}^{self.order + 1})")
+        return f"{self.var}^({self.shift})*({body})" if self.shift else body
+
+    def __repr__(self):
+        cs = ", ".join(str(c) for c in self.coeffs[:8])
+        if self.order >= 8:
+            cs += ", ..."
+        return (f"QSeries({self.var!r}, order={self.order}, "
+                f"shift={self.shift}, coeffs=({cs}))")
+
+    def to_json_dict(self):
+        return {"var": self.var,
+                "shift": [str(self.shift.numerator),
+                          str(self.shift.denominator)],
+                "order": self.order,
+                "coeffs": [[str(c.numerator), str(c.denominator)]
+                           for c in self.coeffs]}
+
+
+def oracle_rational(rng):
+    """Zero, small, or huge, over 1, a small or a huge denominator."""
+    roll = rng.random()
+    if roll < 0.2:
+        return Fraction(0)
+    num = (rng.randint(-9, 9) if roll < 0.7
+           else rng.choice((-1, 1)) * rng.getrandbits(rng.choice((64, 200))))
+    return Fraction(num, rng.choice((1, 1, 2, 3, 12, 35, 2 ** 61 - 1,
+                                     rng.getrandbits(90) | 1)))
+
+
+def oracle_pair(rng, order, var, shift=0, c0=None):
+    """One random series as a QSeries and as a FractionSeries."""
+    cs = [oracle_rational(rng) for _ in range(order + 1)]
+    if c0 == "unit":
+        while not cs[0]:
+            cs[0] = oracle_rational(rng)
+    elif c0 is not None:
+        cs[0] = Fraction(c0)
+    return (QSeries(cs, var=var, shift=shift),
+            FractionSeries(cs, var=var, shift=shift))
+
+
+def oracle_shift(rng):
+    return Fraction(rng.randint(-5, 5), rng.choice((1, 2, 24)))
+
+
+#: name -> (operation, what its operands need), run on both implementations
+ORACLE_OPS = {
+    "add": (lambda f, g: f + g, "same-shift"),
+    "sub": (lambda f, g: f - g, "same-shift"),
+    "mul": (lambda f, g: f * g, "two"),
+    "div": (lambda f, g: f / g, "unit-divisor"),
+    "neg": (lambda f: -f, "any"),
+    "add-int": (lambda f: f + 3, "unshifted"),
+    "int-sub": (lambda f: 2 - f, "unshifted"),
+    "scalar-mul": (lambda f: Fraction(-7, 12) * f, "any"),
+    "scalar-mul-0": (lambda f: f * 0, "any"),
+    "scalar-div": (lambda f: f / Fraction(5, 3), "any"),
+    "invert": (lambda f: f.invert(), "unit"),
+    "pow-3": (lambda f: f ** 3, "any"),
+    "pow-minus-2": (lambda f: f ** -2, "small-unit"),
+    "exp": (lambda f: f.exp(), "c0=0"),
+    "log": (lambda f: f.log(), "c0=1"),
+    "q_d_dq": (lambda f: f.q_d_dq(), "unshifted"),
+    "truncate": (lambda f: f.truncate(f.order // 2), "any"),
+    "with_shift": (lambda f: f.with_shift(Fraction(-3, 8)), "any"),
+    "absorb_shift": (lambda f: f.absorb_shift(), "whole-shift"),
+}
+
+
+def oracle_operands(rng, needs):
+    """The operands of one case: a list of (QSeries, FractionSeries)."""
+    var, order, shift = rng.choice("qx"), rng.randint(0, 60), oracle_shift(rng)
+    if needs in ("c0=0", "c0=1", "unshifted"):
+        # order <= 30 keeps the Fraction oracle of exp and log quick
+        c0 = {"c0=0": 0, "c0=1": 1}.get(needs)
+        return [oracle_pair(rng, rng.randint(0, 30), var, 0, c0)]
+    if needs == "small-unit":
+        # order <= 20 keeps 1/f**2 within str's 4300-digit limit
+        return [oracle_pair(rng, rng.randint(0, 20), var, shift, "unit")]
+    if needs == "whole-shift":
+        return [oracle_pair(rng, order, var, rng.randint(0, 4))]
+    if needs in ("any", "unit"):
+        return [oracle_pair(rng, order, var, shift,
+                            "unit" if needs == "unit" else None)]
+    return [oracle_pair(rng, order, var, shift),
+            oracle_pair(rng, rng.randint(0, 60), var,
+                        shift if needs == "same-shift" else oracle_shift(rng),
+                        "unit" if needs == "unit-divisor" else None)]
+
+
+class TestFractionOracle:
+    """Every operation of the integer-backed QSeries against the Fraction
+    implementation it replaced, on seeded random series of orders 0-60
+    with zero, negative, 200-bit and non-unit-denominator coefficients
+    and nonzero shifts."""
+
+    @pytest.mark.parametrize("name", list(ORACLE_OPS))
+    def test_matches(self, name):
+        op, needs = ORACLE_OPS[name]
+        rng = random.Random(f"oracle:{name}")
+        for _ in range(12):
+            operands = oracle_operands(rng, needs)
+            got = op(*(new for new, _ in operands))
+            want = op(*(old for _, old in operands))
+            assert type(got) is QSeries
+            assert (got.var, got.order) == (want.var, want.order)
+            assert type(got.shift) is Fraction and got.shift == want.shift
+            assert got.coefficients() == got.coeffs == want.coeffs
+            assert all(type(c) is Fraction for c in got.coeffs)
+            k = rng.randint(0, got.order)
+            assert type(got.coefficient(k)) is Fraction
+            assert got.coefficient(k) == want.coeffs[k]
+            # one denominator, the least one
+            assert got._den == lcm(*(c.denominator for c in want.coeffs))
+            assert gcd(got._den, *got._nums) == 1
+            assert got.to_json_dict() == want.to_json_dict()
+            assert (str(got), repr(got)) == (str(want), repr(want))
+
+    @pytest.mark.parametrize("how", list(TestCopyAndPickle.ROUND_TRIPS))
+    def test_results_round_trip(self, how):
+        rng = random.Random(f"round-trip:{how}")
+        for op, needs in ORACLE_OPS.values():
+            got = op(*(new for new, _ in oracle_operands(rng, needs)))
+            back = TestCopyAndPickle.ROUND_TRIPS[how](got)
+            assert type(back) is QSeries and back == got
+            assert (back._nums, back._den, back.shift, back.var,
+                    back.order) == (got._nums, got._den, got.shift, got.var,
+                                    got.order)
+            assert back.to_json_dict() == got.to_json_dict()
