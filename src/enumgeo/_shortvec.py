@@ -16,13 +16,14 @@ and counts each of those twice (Fincke & Pohst, Math. Comp. 44, 1985, on
 the enumeration).  So x_i >= 0 while the budget is whole, LAM*norm_max,
 as it is exactly while every higher coordinate is 0.  Level 0 is a lookup:
 its share of the histogram depends only on the remaining budget and on the
-centre c_0 mod p_0, so each call keeps a table of leaf histograms under the
-key (budget, c_0 mod p_0) and adds a stored one on every repeat.
+centre c_0 mod p_0, so each call caches the leaf histogram of every
+(budget, c_0 mod p_0) it meets and adds the cached one on every repeat.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import isqrt, lcm
 
 
@@ -80,9 +81,9 @@ def count_by_norm(gram, norm_max: int) -> list:
     and every p_j > 0; there c_i is 0 and x_i >= 0 is scanned.  The
     innermost level steps t_0 = c_0 (mod p_0), and its norm index
     (LAM*norm_max - budget + w_0*t_0**2)/LAM depends on nothing but the
-    budget and t_0.  So level 1 looks each leaf up in a table local to the
-    call, keyed by (budget, c_0 mod p_0), whose entries are tuples of
-    (norm index, multiplicity) pairs built on the first miss.
+    budget and t_0.  So level 1 reads each leaf from ``leaf``, a
+    ``functools.cache`` local to the call on (budget, c_0 mod p_0), whose
+    values are tuples of (norm index, multiplicity) pairs.
     """
     rows = pivot_rows(gram)
     rank = len(rows)
@@ -109,7 +110,6 @@ def count_by_norm(gram, norm_max: int) -> list:
     offsets = [[(j, row[j]) for j in range(i + 1, rank) if row[j]]
                for i, row in enumerate(rows)]
     p0, w0 = rows[0][0], weights[0]
-    leaves = {}             # (budget, c_0 mod p_0) -> leaf's pairs
 
     def span(budget: int, p: int, w: int, c: int) -> range:
         """The x with w*(p*x + c)**2 <= budget, x >= 0 while the budget is
@@ -118,6 +118,7 @@ def count_by_norm(gram, norm_max: int) -> list:
         lo = 0 if budget == budget0 else -((s + c) // p)
         return range(lo, (s - c) // p + 1)
 
+    @cache
     def leaf(budget: int, r: int) -> tuple:
         """Level 0's (norm index, multiplicity) pairs at this budget, over
         t_0 = p_0*x + r."""
@@ -141,15 +142,11 @@ def count_by_norm(gram, norm_max: int) -> list:
             t = p * x + c
             if i > 1:
                 descend(i - 1, budget - w * t * t)
-            else:               # level 0 from the table
+            else:               # level 0 from the cache
                 c0 = 0
                 for j, a in offsets[0]:
                     c0 += a * xs[j]
-                key = (budget - w * t * t, c0 % p0)
-                pairs = leaves.get(key)
-                if pairs is None:
-                    pairs = leaves[key] = leaf(*key)
-                for n, m in pairs:
+                for n, m in leaf(budget - w * t * t, c0 % p0):
                     counts[n] += m
         xs[i] = 0
 

@@ -58,15 +58,14 @@ class SurfaceLattice:
     canonical: Vector | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "rank", operator.index(self.rank))
         g = tuple(tuple(operator.index(x) for x in row) for row in self.gram)
         object.__setattr__(self, "gram", g)
         if len(g) != self.rank or any(len(row) != self.rank for row in g):
             raise DimensionMismatch(
                 f"gram must be {self.rank}x{self.rank}")
-        for i in range(self.rank):
-            for j in range(i):
-                if g[i][j] != g[j][i]:
-                    raise ValueError("gram matrix must be symmetric")
+        if g != tuple(zip(*g)):
+            raise ValueError("gram matrix must be symmetric")
         if len(self.basis_labels) != self.rank:
             raise DimensionMismatch("one label per basis vector required")
         if self.canonical is not None:
@@ -214,8 +213,7 @@ def enumerate_vectors(lattice: SurfaceLattice, norm_max: int) -> dict:
     norm_max = operator.index(norm_max)
     if norm_max < 0:
         raise ValueError("norm_max must be >= 0")
-    counts = _shortvec.count_by_norm(lattice.gram, norm_max)
-    return {n: counts[n] for n in range(norm_max + 1)}
+    return dict(enumerate(_shortvec.count_by_norm(lattice.gram, norm_max)))
 
 
 def exceptional_classes(k: int, degree_bound: int = 6) -> list:
@@ -227,24 +225,23 @@ def exceptional_classes(k: int, degree_bound: int = 6) -> list:
     if degree_bound < 0:
         raise ValueError("degree bound must be >= 0")
     results = []
+    beta = [0] * (k + 1)        # (d, c_1, ..., c_k)
+
+    def descend(i: int, rsum: int, rsq: int) -> None:
+        left = k + 1 - i
+        if left == 0:
+            if rsum == 0 and rsq == 0:
+                results.append(tuple(beta))
+            return
+        if rsum * rsum > left * rsq:   # Cauchy-Schwarz infeasible
+            return
+        bound = isqrt(rsq)
+        for c in range(-bound, bound + 1):
+            beta[i] = c
+            descend(i + 1, rsum - c, rsq - c * c)
+
     for d in range(-degree_bound, degree_bound + 1):
-        # K*beta = -1 and beta^2 = -1 pin the blowup coefficients:
-        target_sum = 1 - 3 * d          # sum of c_i
-        target_sq = d * d + 1           # sum of c_i^2
-        partial = [0] * k
-
-        def descend(i: int, rsum: int, rsq: int) -> None:
-            left = k - i
-            if left == 0:
-                if rsum == 0 and rsq == 0:
-                    results.append((d, *partial))
-                return
-            if rsum * rsum > left * rsq:   # Cauchy-Schwarz infeasible
-                return
-            bound = isqrt(rsq)
-            for c in range(-bound, bound + 1):
-                partial[i] = c
-                descend(i + 1, rsum - c, rsq - c * c)
-
-        descend(0, target_sum, target_sq)
+        # K*beta = beta^2 = -1: sum c_i = 1 - 3d, sum c_i^2 = d^2 + 1
+        beta[0] = d
+        descend(1, 1 - 3 * d, d * d + 1)
     return results              # distinct, and in lexicographic order

@@ -228,6 +228,14 @@ def _json_int(value) -> int:
     return int(value) if isinstance(value, str) else index(value)
 
 
+def _json_fraction(num, den, field: str) -> Fraction:
+    """num/den of two ``_json_int`` values; den = 0 names ``field``."""
+    num, den = _json_int(num), _json_int(den)
+    if not den:
+        raise SeriesError(f"{field} has denominator 0")
+    return Fraction(num, den)
+
+
 def _signed_sum(terms) -> str:
     """The pairs (name, c), c != 0, as "c*name" joined by " + " or " - ",
     or "0"; |c| = 1 prints the name alone, an empty name |c| alone."""
@@ -572,10 +580,9 @@ class QSeries(_Frozen):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "QSeries":
-        shift = Fraction(_json_int(data["shift"][0]),
-                         _json_int(data["shift"][1]))
-        coeffs = [Fraction(_json_int(num), _json_int(den))
-                  for num, den in data["coeffs"]]
+        shift = _json_fraction(data["shift"][0], data["shift"][1], "shift")
+        coeffs = [_json_fraction(num, den, f"coeffs[{k}]")
+                  for k, (num, den) in enumerate(data["coeffs"])]
         return cls(coeffs, var=data["var"], shift=shift, order=data["order"])
 
 

@@ -175,7 +175,7 @@ class TestHalfSpaceScan(object):
 
     def test_matches_full_scan_at_larger_norms(self):
         # norms 20..30 on ranks 1..8: level 1 meets the same leaf budget
-        # many times, so most leaves come from the call's table
+        # many times, so most leaves come from the call's cache
         forms = [gram for gram in random_forms(5, 135, max_rank=8) if gram]
         assert {len(gram) for gram in forms} == set(range(1, 9))
         for k, gram in enumerate(forms):

@@ -767,6 +767,9 @@ class TestExactInputs(object):
         # 4.0 == 4, so a table lookup alone would build E4
         lambda: mf.eisenstein(4.0, 5),
         lambda: QSeries([1, 2], order=2.0),
+        # unchecked, 1.5 would fail as a size mismatch, a ValueError
+        lambda: lat.SurfaceLattice(rank=1.5, gram=((2,),),
+                                   basis_labels=("x",)),
     ], ids=["SurfaceLattice.gram", "adjunction_genus", "SurfaceData.betti",
             "SurfaceData.chi_top", "SurfaceData.chi_O", "SurfaceData.p_g",
             "BiSeries", "gromov_conditions", "ChernVector.r",
@@ -776,7 +779,8 @@ class TestExactInputs(object):
             "QSeries.from_json_dict.shift", "BiSeries.from_json_dict",
             "sw_p2.half", "sw_p2.float", "divisor_sigma.k", "divisor_sigma.n",
             "exceptional_classes.k", "exceptional_classes.degree_bound",
-            "bryan_leung_series.genus", "eisenstein.weight", "QSeries.order"])
+            "bryan_leung_series.genus", "eisenstein.weight", "QSeries.order",
+            "SurfaceLattice.rank"])
     def test_non_integer_rejected(self, call):
         # int() would truncate 2.9 to 2; an integer field takes only ints
         with pytest.raises(TypeError):

@@ -1,8 +1,11 @@
 """Lattice tests: pairing golden facts, signatures, vector enumeration,
 exceptional-class counts."""
 
+import itertools
+import json
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -305,6 +308,21 @@ class TestExceptional(object):
         assert len(full) == 240
         assert len(capped) == 232
 
+    def test_matches_unpruned_box(self):
+        # every class with |d| <= 7 has |c_i| <= isqrt(d^2 + 1); the box is
+        # filtered by the lattice's own pairing, not the search's targets
+        for k in range(4):
+            dp = lat.make_del_pezzo(k)
+            box = ((d, *cs) for d in range(-7, 8)
+                   for cs in itertools.product(
+                       range(-isqrt(d * d + 1), isqrt(d * d + 1) + 1),
+                       repeat=k))
+            oracle = sorted(beta for beta in box if dp.norm(beta) == -1
+                            and dp.pair(dp.canonical, beta) == -1)
+            for bound in range(8):
+                want = [beta for beta in oracle if abs(beta[0]) <= bound]
+                assert lat.exceptional_classes(k, bound) == want, (k, bound)
+
     def test_sorted_and_distinct(self):
         for k in range(9):
             for bound in range(10):
@@ -405,6 +423,11 @@ class TestValidation(object):
         assert d["rank"] == 10
         assert d["canonical"] == [-3] + [1] * 9
         assert len(d["gram"]) == 10 and d["basis"][0] == "e0"
+
+    def test_json_rank_is_int(self):
+        one = lat.SurfaceLattice(rank=True, gram=((2,),), basis_labels=("x",))
+        assert type(one.rank) is int
+        assert json.dumps(one.to_json_dict()).startswith('{"rank": 1,')
 
 
 class TestDelPezzo(object):

@@ -645,9 +645,18 @@ class TestErrorPaths:
          AttributeError, "BiSeries is immutable"),
         (lambda: int_binomial(3, -1),
          ValueError, "lower index must be non-negative"),
+        (lambda: QSeries.from_json_dict(
+            {"var": "q", "shift": ["0", "0"], "order": 0,
+             "coeffs": [["1", "1"]]}),
+         SeriesError, "shift has denominator 0"),
+        (lambda: QSeries.from_json_dict(
+            {"var": "q", "shift": ["0", "1"], "order": 1,
+             "coeffs": [["1", "1"], ["1", "0"]]}),
+         SeriesError, "coeffs[1] has denominator 0"),
     ], ids=["gen-order-0", "divide-by-0", "log-shifted", "add-str",
             "sub-str", "str-sub", "mul-str", "div-str", "pow-str",
-            "biseries-mul-int", "biseries-setattr", "int-binomial-j-neg"])
+            "biseries-mul-int", "biseries-setattr", "int-binomial-j-neg",
+            "json-shift-den-0", "json-coeff-den-0"])
     def test_raises(self, call, cls, message):
         with pytest.raises(cls) as exc:
             call()
