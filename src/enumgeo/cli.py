@@ -17,6 +17,11 @@ imports ``invariants`` and ``modforms``, ``sw`` imports ``invariants``,
 ``--format json`` and ``sw mochizuki``.  The full tree, built for help and
 usage errors, imports them all.
 
+Each command returns ``(rc, text)``: its exit code and its whole stdout,
+without the final newline, and writes nothing to stdout itself.  ``main``
+writes the text in one call after the command returns, so a request that
+exits 2 leaves stdout empty and prints one ``error:`` line on stderr.
+
 Exit codes: 0 success, 1 failed verification, 2 malformed input.
 The environment variable ENUMGEO_ORDER overrides the default order 20.
 The surfaces named by ``--surface`` are those of ``invariants.SURFACES``.
@@ -67,9 +72,9 @@ def _resolve_order(args) -> int:
     return order
 
 
-def _emit_json(payload) -> None:
+def _json(payload) -> str:
     import json
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    return json.dumps(payload, sort_keys=True, indent=2)
 
 
 # -- expand ----------------------------------------------------------------
@@ -96,62 +101,59 @@ _EXPAND = {
 }
 
 
-def _cmd_expand(args) -> int:
+def _cmd_expand(args) -> tuple:
     from . import invariants as inv, modforms as mf
     order = _resolve_order(args)
     series, words = _EXPAND[args.target](args, order, inv, mf)
     if args.format == "json":
-        _emit_json(series.to_json_dict())
-    elif isinstance(series, QSeries):
-        print(f"# {args.target}{words} order={order} shift={series.shift}")
-        print(", ".join(map(str, series.coefficients())))
-    else:
-        print(f"# {args.target}{words} order={order}\n{series}")
-    return 0
+        return 0, _json(series.to_json_dict())
+    header, body = f"# {args.target}{words} order={order}", series
+    if isinstance(series, QSeries):
+        header += f" shift={series.shift}"
+        body = ", ".join(map(str, series.coefficients()))
+    return 0, f"{header}\n{body}"
 
 
 # -- verify ----------------------------------------------------------------
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple:
     from . import verify as ver
     order = _resolve_order(args)
     reports = ver.run_suite(args.suite, order)
     failed = sum(r.status == "fail" for r in reports)
+    rc = 1 if failed else 0
     if args.format == "json":
-        _emit_json({
+        return rc, _json({
             "suite": args.suite,
             "order": order,
             "reports": [r.to_json_dict() for r in reports],
             "failed": failed,
         })
-    else:
-        for r in reports:
-            line = f"{r.status.upper():7s} {r.check_name}"
-            if r.status != "pass":
-                line += f"  expected={r.expected}  actual={r.actual}"
-            line += f"  [{r.citation}]"
-            print(line)
-        passed = sum(r.status == "pass" for r in reports)
-        flagged = sum(r.status == "flagged" for r in reports)
-        print(f"# {passed} passed, {failed} failed, {flagged} flagged")
-    return 1 if failed else 0
+    lines = []
+    for r in reports:
+        line = f"{r.status.upper():7s} {r.check_name}"
+        if r.status != "pass":
+            line += f"  expected={r.expected}  actual={r.actual}"
+        lines.append(f"{line}  [{r.citation}]")
+    passed = sum(r.status == "pass" for r in reports)
+    flagged = sum(r.status == "flagged" for r in reports)
+    lines.append(f"# {passed} passed, {failed} failed, {flagged} flagged")
+    return rc, "\n".join(lines)
 
 
 # -- lattice ---------------------------------------------------------------
 
-def _cmd_lattice_pair(args) -> int:
+def _cmd_lattice_pair(args) -> tuple:
     g = lat.make_gamma19()
-    print(g.pair(_parse_vector(args.u), _parse_vector(args.v)))
-    return 0
+    return 0, g.pair(_parse_vector(args.u), _parse_vector(args.v))
 
 
-def _cmd_lattice_genus(args) -> int:
+def _cmd_lattice_genus(args) -> tuple:
     g = lat.make_gamma19()
-    print(g.adjunction_genus(_parse_vector(args.beta)))
-    return 0
+    return 0, g.adjunction_genus(_parse_vector(args.beta))
 
 
-def _cmd_lattice_signature(args) -> int:
+def _cmd_lattice_signature(args) -> tuple:
     g = lat.make_gamma19()
     if args.sublattice == "full":
         sig = g.signature()
@@ -160,58 +162,48 @@ def _cmd_lattice_signature(args) -> int:
         sig = g.sublattice([names["F"], names["B"]], ["F", "B"]).signature()
     else:  # e8
         sig = g.sublattice(lat.e8_minus_basis()).signature()
-    print(f"({sig[0]}, {sig[1]})")
-    return 0
+    return 0, f"({sig[0]}, {sig[1]})"
 
 
-def _cmd_lattice_enumerate(args) -> int:
+def _cmd_lattice_enumerate(args) -> tuple:
     counts = lat.enumerate_vectors(lat.e8_lattice(), args.norm_max)
     if args.format == "json":
-        _emit_json({"norm_max": args.norm_max,
-                    "counts": {str(n): counts[n] for n in counts},
-                    "backend": lat.enumeration_backend()})
-    else:
-        print(f"# E8 vector counts up to norm {args.norm_max} "
-              f"({lat.enumeration_backend()} backend)")
-        for n in sorted(counts):
-            print(f"{n} {counts[n]}")
-    return 0
+        return 0, _json({"norm_max": args.norm_max,
+                         "counts": {str(n): counts[n] for n in counts},
+                         "backend": lat.enumeration_backend()})
+    return 0, "\n".join([f"# E8 vector counts up to norm {args.norm_max} "
+                         f"({lat.enumeration_backend()} backend)",
+                         *(f"{n} {counts[n]}" for n in sorted(counts))])
 
 
-def _cmd_lattice_exceptional(args) -> int:
+def _cmd_lattice_exceptional(args) -> tuple:
     classes = lat.exceptional_classes(args.k, args.bound)
     if args.format == "json":
-        _emit_json({"k": args.k, "bound": args.bound,
-                    "count": len(classes),
-                    "classes": [list(c) for c in classes]})
-    else:
-        dp = lat.make_del_pezzo(args.k)
-        print(f"# {len(classes)} exceptional classes on the "
-              f"{args.k}-point blowup (degree bound {args.bound})")
-        for c in classes:
-            print(dp.format_vector(c))
-    return 0
+        return 0, _json({"k": args.k, "bound": args.bound,
+                         "count": len(classes),
+                         "classes": [list(c) for c in classes]})
+    dp = lat.make_del_pezzo(args.k)
+    return 0, "\n".join([f"# {len(classes)} exceptional classes on the "
+                         f"{args.k}-point blowup (degree bound {args.bound})",
+                         *map(dp.format_vector, classes)])
 
 
 # -- sw ----------------------------------------------------------------------
 
-def _cmd_sw_p2(args) -> int:
+def _cmd_sw_p2(args) -> tuple:
     from . import invariants as inv
     chamber = {"plus": "+", "minus": "-"}.get(args.chamber, args.chamber)
-    print(inv.sw_p2(args.c, chamber))
-    return 0
+    return 0, inv.sw_p2(args.c, chamber)
 
 
-def _cmd_sw_closed_form(args) -> int:
+def _cmd_sw_closed_form(args) -> tuple:
     from . import invariants as inv
-    print(inv.sw_closed_form(args.d, args.pg))
-    return 0
+    return 0, inv.sw_closed_form(args.d, args.pg)
 
 
-def _cmd_sw_dimension(args) -> int:
+def _cmd_sw_dimension(args) -> tuple:
     from . import invariants as inv
-    print(inv.sw_dimension(args.c_sq, args.chi_top, args.sigma))
-    return 0
+    return 0, inv.sw_dimension(args.c_sq, args.chi_top, args.sigma)
 
 
 def _wall(value, kind: type):
@@ -227,7 +219,7 @@ def _pair_to_fraction(pair) -> Fraction:
     return Fraction(_wall(pair[0], int), pair[1])
 
 
-def _cmd_sw_mochizuki(args) -> int:
+def _cmd_sw_mochizuki(args) -> tuple:
     import json
     from . import invariants as inv
     with open(args.file, encoding="utf-8") as fh:
@@ -253,11 +245,11 @@ def _cmd_sw_mochizuki(args) -> int:
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
     if args.format == "json":
-        _emit_json({"result": [str(result.numerator), str(result.denominator)],
-                    "hypothesis_warnings": [str(w.message) for w in caught]})
-    else:
-        print(result)
-    return 0
+        return 0, _json({"result": [str(result.numerator),
+                                    str(result.denominator)],
+                         "hypothesis_warnings": [str(w.message)
+                                                 for w in caught]})
+    return 0, result
 
 
 # -- fit ---------------------------------------------------------------------
@@ -269,26 +261,23 @@ def _parse_target(text: str) -> tuple:
     return int(e), _parse_rational(v)
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args) -> tuple:
     from . import modforms as mf
     targets = [_parse_target(t) for t in args.target]
     fit = mf.fit_quasi_homogeneous(args.weight, args.eta_exponent, targets)
     if args.format == "json":
-        _emit_json(fit.to_json_dict())
-        return 0
-    print(f"# weight={args.weight} eta-exponent={args.eta_exponent} "
-          f"consistent={fit.consistent} nullspace-dimension={fit.nullity}")
+        return 0, _json(fit.to_json_dict())
+    lines = [f"# weight={args.weight} eta-exponent={args.eta_exponent} "
+             f"consistent={fit.consistent} nullspace-dimension={fit.nullity}"]
     labels = fit.basis.labels()
     if fit.particular is not None:
-        for label, c in zip(labels, fit.particular):
-            print(f"{label}: {c}")
+        lines += (f"{label}: {c}" for label, c in zip(labels, fit.particular))
     else:
-        print("inconsistent system; no particular solution")
+        lines.append("inconsistent system; no particular solution")
     for i, vec in enumerate(fit.nullspace):
-        body = ", ".join(f"{label}: {c}"
-                         for label, c in zip(labels, vec))
-        print(f"nullspace[{i}]: {body}")
-    return 0
+        body = ", ".join(f"{label}: {c}" for label, c in zip(labels, vec))
+        lines.append(f"nullspace[{i}]: {body}")
+    return 0, "\n".join(lines)
 
 
 # -- parser ------------------------------------------------------------------
@@ -444,10 +433,12 @@ def main(argv=None) -> int:
     except _Fallback:  # the full tree prints the error and exits 2
         args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        rc, out = args.func(args)
+        sys.stdout.write(f"{out}\n")
     except (ValueError, KeyError, OSError) as exc:
         print(_cut(f"error: {exc}"), file=sys.stderr)
         return 2
+    return rc
 
 
 if __name__ == "__main__":

@@ -66,6 +66,10 @@ class SurfaceLattice:
                 f"gram must be {self.rank}x{self.rank}")
         if g != tuple(zip(*g)):
             raise ValueError("gram matrix must be symmetric")
+        if isinstance(self.basis_labels, str):
+            raise TypeError("basis_labels must be a sequence of labels, "
+                            "not a str")
+        object.__setattr__(self, "basis_labels", tuple(self.basis_labels))
         if len(self.basis_labels) != self.rank:
             raise DimensionMismatch("one label per basis vector required")
         if self.canonical is not None:

@@ -284,6 +284,18 @@ class TestSW(object):
         assert data["hypothesis_warnings"]
         assert "warning" in err
 
+    def test_mochizuki_result_past_digit_limit(self, capsys, tmp_path):
+        # the result is formatted after the command returns, inside main's
+        # error handling: warnings, then one error line, and no stdout
+        path = tmp_path / "wall.json"
+        path.write_text(json.dumps(self.mochizuki_payload(chi_v=[-20000, 1])))
+        rc, out, err = run_cli(capsys, "sw", "mochizuki", "--file",
+                               str(path))
+        assert rc == 2 and out == ""
+        *warned, last = err.splitlines()
+        assert all(line.startswith("warning: ") for line in warned)
+        assert last.startswith("error: Exceeds the limit (4300 digits)")
+
     def test_mochizuki_missing_file(self, capsys, tmp_path):
         rc, _, err = run_cli(capsys, "sw", "mochizuki", "--file",
                              str(tmp_path / "nope.json"))
@@ -364,16 +376,35 @@ class TestFit(object):
 
 
 class TestErrorLines(object):
+    ETA_PAST_DIGIT_LIMIT = ("expand", "eta-quotient", "--exponent",
+                            "-1000000", "--order", "1500")
+
     @pytest.mark.parametrize("argv, line", [
         (("fit", "--weight", "4", "--eta-exponent", "0", "--target", "0=abc"),
          "error: bad rational 'abc': "),
         (("lattice", "enumerate", "--norm-max", "-1"),
          "error: norm_max must be >= 0"),
-    ], ids=["fit-bad-rational", "enumerate-negative-norm-max"])
+        # a result past the integer-string limit is refused whole: the
+        # text header is not written before the coefficients fail
+        (ETA_PAST_DIGIT_LIMIT, "error: Exceeds the limit (4300 digits)"),
+        (ETA_PAST_DIGIT_LIMIT + ("--format", "json"),
+         "error: Exceeds the limit (4300 digits)"),
+    ], ids=["fit-bad-rational", "enumerate-negative-norm-max",
+            "eta-past-digit-limit-text", "eta-past-digit-limit-json"])
     def test_exit_2_with_one_error_line(self, capsys, argv, line):
         rc, out, err = run_cli(capsys, *argv)
         assert rc == 2 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith(line)
+
+    def test_failed_stdout_write_exits_2(self, capsys, monkeypatch):
+        class BrokenPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", BrokenPipe())
+        rc = cli.main(["sw", "p2", "--c", "3", "--chamber", "+"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
 
     FIT = ("fit", "--weight", "4", "--eta-exponent", "0", "--target")
     WALL_V = {"r": 2, "a_h": 5, "a_K": 0, "a_sq": 1}

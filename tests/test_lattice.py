@@ -354,8 +354,12 @@ class TestErrorPaths(object):
          ValueError, "degree bound must be >= 0"),
         (lambda: lat.enumerate_vectors(lat.e8_lattice(), 2.0),
          TypeError, "'float' object cannot be interpreted as an integer"),
+        (lambda: lat.SurfaceLattice(rank=2, gram=((1, 0), (0, 1)),
+                                    basis_labels="xy"),
+         TypeError, "basis_labels must be a sequence of labels, not a str"),
     ], ids=["gram-shape", "label-count", "no-canonical", "del-pezzo-9",
-            "negative-norm-max", "negative-degree-bound", "float-norm-max"])
+            "negative-norm-max", "negative-degree-bound", "float-norm-max",
+            "str-labels"])
     def test_raises(self, call, cls, message):
         with pytest.raises(cls) as exc:
             call()
@@ -423,6 +427,13 @@ class TestValidation(object):
         assert d["rank"] == 10
         assert d["canonical"] == [-3] + [1] * 9
         assert len(d["gram"]) == 10 and d["basis"][0] == "e0"
+
+    def test_labels_are_stored_as_a_tuple(self):
+        # equal by value and hashable whatever sequence held the labels
+        listed = lat.SurfaceLattice(rank=1, gram=[[2]], basis_labels=["x"])
+        tupled = lat.SurfaceLattice(rank=1, gram=((2,),), basis_labels=("x",))
+        assert listed.basis_labels == ("x",) and listed == tupled
+        assert hash(listed) == hash(tupled)
 
     def test_json_rank_is_int(self):
         one = lat.SurfaceLattice(rank=True, gram=((2,),), basis_labels=("x",))

@@ -51,6 +51,27 @@ def test_command_example(command, expected, capsys, monkeypatch):
     assert got == expected
 
 
+SAME_UNDER_JSON = [
+    ("lattice", "pair", "--u", "F", "--v", "B"),
+    ("lattice", "genus", "--beta", "K"),
+    ("lattice", "signature", "--sublattice", "fiber-section"),
+    ("sw", "p2", "--c", "3", "--chamber", "+"),
+    ("sw", "closed-form", "--d", "1", "--pg", "3"),
+    ("sw", "dimension", "--c-sq", "1", "--chi-top", "3", "--sigma", "-1"),
+]
+
+
+@pytest.mark.parametrize("argv", SAME_UNDER_JSON,
+                         ids=[" ".join(argv[:2]) for argv in SAME_UNDER_JSON])
+def test_same_text_under_format_json(argv, capsys):
+    # the Command line section names these six as printing the same text
+    runs = []
+    for fmt in ("text", "json"):
+        rc = cli.main([*argv, "--format", fmt])
+        runs.append((rc, *capsys.readouterr()))
+    assert runs[0] == runs[1] and runs[0][0] == 0 and runs[0][1]
+
+
 def test_library_block():
     (block,) = blocks("python")
     exec(compile(block, str(README), "exec"), {})
