@@ -70,6 +70,12 @@ class SurfaceLattice:
             raise TypeError("basis_labels must be a sequence of labels, "
                             "not a str")
         object.__setattr__(self, "basis_labels", tuple(self.basis_labels))
+        for label in self.basis_labels:
+            if not isinstance(label, str):
+                raise TypeError(f"basis labels must be str, got "
+                                f"{type(label).__name__}")
+            if not label:
+                raise ValueError("basis labels must not be empty")
         if len(self.basis_labels) != self.rank:
             raise DimensionMismatch("one label per basis vector required")
         if self.canonical is not None:

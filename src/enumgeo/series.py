@@ -236,6 +236,15 @@ def _json_fraction(num, den, field: str) -> Fraction:
     return Fraction(num, den)
 
 
+def _check_name(name, field: str) -> None:
+    """Refuse a variable name the printers would misstate: TypeError
+    unless it is a str, SeriesError if it is empty."""
+    if not isinstance(name, str):
+        raise TypeError(f"{field} must be a str, got {type(name).__name__}")
+    if not name:
+        raise SeriesError(f"{field} must not be empty")
+
+
 def _signed_sum(terms) -> str:
     """The pairs (name, c), c != 0, as "c*name" joined by " + " or " - ",
     or "0"; |c| = 1 prints the name alone, an empty name |c| alone."""
@@ -317,6 +326,7 @@ class QSeries(_Frozen):
 
     def __init__(self, coeffs: Iterable[Rational], var: str = "q",
                  shift: Rational = 0, order: int | None = None):
+        _check_name(var, "var")
         cs = _padded([c if type(c) is int else _as_fraction(c)
                       for c in coeffs], order, 0)
         self._store(*_scaled(cs), var, _as_fraction(shift))
@@ -595,6 +605,8 @@ class BiSeries(_Frozen):
 
     def __init__(self, coeffs: Sequence, var_q: str = "q", var_t: str = "t",
                  order: int | None = None):
+        _check_name(var_q, "var_q")
+        _check_name(var_t, "var_t")
         polys = _padded([self._trim([index(c) for c in poly])
                          for poly in coeffs], order, (0,))
         for k, poly in enumerate(polys):
@@ -710,6 +722,7 @@ def product_family(exponent: Callable[[int], int], order: int,
     ``_eta_power``; otherwise the factors are expanded together by the
     integer logarithmic-derivative recurrence of ``_euler_product``.
     """
+    _check_name(var, "var")
     exponents = []
     for m in range(1, order + 1):
         e = exponent(m)

@@ -7,8 +7,7 @@ from fractions import Fraction
 import pytest
 
 from enumgeo import modforms as mf
-from enumgeo.series import (QSeries, SeriesError, _as_fraction, _scaled,
-                            product_family)
+from enumgeo.series import QSeries, SeriesError, product_family
 
 
 def brute_sigma(n, k):
@@ -16,61 +15,45 @@ def brute_sigma(n, k):
 
 
 def solve_fraction(rows, rhs):
-    """Reference: Bareiss forward pass, then back substitution and the
-    residual check over Fraction."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    exact_rows = [[_as_fraction(x) for x in row] for row in rows]
-    exact_rhs = [_as_fraction(b) for b in rhs]
-    aug = [_scaled(row + [b])[0] for row, b in zip(exact_rows, exact_rhs)]
-    pivots = []  # (row, col)
-    r = 0
-    prev = 1
+    """Reference: Gauss-Jordan elimination over Fraction to reduced row
+    echelon form.  The particular solution sets the free variables to 0;
+    each free column, set to 1, gives one nullspace vector, in column
+    order.  Every vector is re-checked against the rows as given."""
+    n = len(rows[0]) if rows else 0
+    aug = [[Fraction(a) for a in [*row, b]] for row, b in zip(rows, rhs)]
+    pivots = []  # pivots[r] is the pivot column of row r
     for c in range(n):
-        p = next((i for i in range(r, m) if aug[i][c]), None)
+        r = len(pivots)
+        p = next((i for i in range(r, len(aug)) if aug[i][c]), None)
         if p is None:
             continue
         aug[r], aug[p] = aug[p], aug[r]
         piv = aug[r][c]
-        for i in range(r + 1, m):
-            head = aug[i][c]
-            aug[i] = [(piv * aug[i][k] - head * aug[r][k]) // prev
-                      for k in range(n + 1)]
-        prev = piv
-        pivots.append((r, c))
-        r += 1
-        if r == m:
-            break
-    consistent = True
-    for row in aug[r:]:
-        if not any(row[:n]) and row[n]:
-            consistent = False
-    pivot_cols = [c for _, c in pivots]
-    free_cols = [c for c in range(n) if c not in pivot_cols]
-
-    def back_substitute(rhs_col, free_values):
+        aug[r] = [a / piv for a in aug[r]]
+        for i, row in enumerate(aug):
+            head = row[c]
+            if i != r and head:
+                aug[i] = [a - head * b if b else a
+                          for a, b in zip(row, aug[r])]
+        pivots.append(c)
+    consistent = not any(row[n] for row in aug[len(pivots):])
+    particular = [Fraction(0)] * n
+    for row, c in zip(aug, pivots):
+        particular[c] = row[n]
+    nullspace = []
+    for f in (c for c in range(n) if c not in pivots):
         x = [Fraction(0)] * n
-        for c, v in zip(free_cols, free_values):
-            x[c] = Fraction(v)
-        for row, c in reversed(pivots):
-            acc = Fraction(aug[row][n]) if rhs_col else Fraction(0)
-            for k in range(c + 1, n):
-                if aug[row][k] and x[k]:
-                    acc -= aug[row][k] * x[k]
-            x[c] = acc / aug[row][c]
-        return tuple(x)
-
-    particular = (back_substitute(True, [0] * len(free_cols))
-                  if consistent else None)
-    nullspace = [back_substitute(False, [int(t == idx)
-                                         for t in range(len(free_cols))])
-                 for idx in range(len(free_cols))]
-    for row, b in zip(exact_rows, exact_rhs):
-        if particular is not None:
+        x[f] = Fraction(1)
+        for row, c in zip(aug, pivots):
+            x[c] = -row[f]
+        nullspace.append(tuple(x))
+    for row, b in zip(rows, rhs):
+        if consistent:
             assert sum(a * v for a, v in zip(row, particular)) == b
         for x in nullspace:
             assert sum(a * v for a, v in zip(row, x)) == 0
-    return consistent, particular, tuple(nullspace)
+    return (consistent, tuple(particular) if consistent else None,
+            tuple(nullspace))
 
 
 _DENOMINATORS = (1, 1, 1, 2, 3, 7, 12, 10 ** 12 + 39)
@@ -332,6 +315,9 @@ class TestSolveExact:
                     oracle_columns(weight, eta_exponent, len(targets) - 1),
                     targets)
                 assert mf.solve_exact(rows, rhs) == solve_fraction(rows, rhs)
+
+    def test_oracle_imports_nothing_from_enumgeo(self, enumgeo_reads):
+        assert enumgeo_reads(solve_fraction) == set()
 
     def test_zero_row(self):
         basis = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))

@@ -1,12 +1,12 @@
 """Series-core tests: frozen oracles, ring-axiom properties, round trips."""
 
 import copy
+import inspect
 import json
 import pickle
 import random
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
-from operator import mul
 
 import pytest
 
@@ -28,7 +28,6 @@ from enumgeo.series import (
     _euler_product,
     _pack,
     _poly_str,
-    _product,
     _t_poly,
     _unpack,
 )
@@ -98,10 +97,11 @@ def binomial_product(exponent, order):
 def schoolbook(f, g):
     """Oracle: the truncated product by the plain double loop."""
     n = min(f.order, g.order)
+    a, b = f.coefficients(), g.coefficients()
     out = [Fraction(0)] * (n + 1)
     for i in range(n + 1):
         for j in range(n + 1 - i):
-            out[i + j] += f.coefficient(i) * g.coefficient(j)
+            out[i + j] += a[i] * b[j]
     return out
 
 
@@ -653,10 +653,34 @@ class TestErrorPaths:
             {"var": "q", "shift": ["0", "1"], "order": 1,
              "coeffs": [["1", "1"], ["1", "0"]]}),
          SeriesError, "coeffs[1] has denominator 0"),
+        (lambda: QSeries([1, 2, 3], var=""),
+         SeriesError, "var must not be empty"),
+        (lambda: QSeries([1, 2, 3], var=None),
+         TypeError, "var must be a str, got NoneType"),
+        (lambda: QSeries.one(3, var=b"q"),
+         TypeError, "var must be a str, got bytes"),
+        (lambda: BiSeries([(1,), (0, 1)], var_q=""),
+         SeriesError, "var_q must not be empty"),
+        (lambda: BiSeries([(1,), (0, 1)], var_t=None),
+         TypeError, "var_t must be a str, got NoneType"),
+        (lambda: product_family(lambda m: -1, 3, var=""),
+         SeriesError, "var must not be empty"),
+        (lambda: product_family(lambda m: -1, 3, var=7),
+         TypeError, "var must be a str, got int"),
+        (lambda: QSeries.from_json_dict(
+            {"var": "", "shift": ["0", "1"], "order": 0,
+             "coeffs": [["1", "1"]]}),
+         SeriesError, "var must not be empty"),
+        (lambda: BiSeries.from_json_dict(
+            {"var_q": "q", "var_t": None, "order": 0, "coeffs": [["1"]]}),
+         TypeError, "var_t must be a str, got NoneType"),
     ], ids=["gen-order-0", "divide-by-0", "log-shifted", "add-str",
             "sub-str", "str-sub", "mul-str", "div-str", "pow-str",
             "biseries-mul-int", "biseries-setattr", "int-binomial-j-neg",
-            "json-shift-den-0", "json-coeff-den-0"])
+            "json-shift-den-0", "json-coeff-den-0", "var-empty", "var-none",
+            "var-bytes", "biseries-var-q-empty", "biseries-var-t-none",
+            "product-family-var-empty", "product-family-var-int",
+            "json-var-empty", "biseries-json-var-t-none"])
     def test_raises(self, call, cls, message):
         with pytest.raises(cls) as exc:
             call()
@@ -720,35 +744,20 @@ class TestSerialization:
 
 # -- the Fraction implementation, kept as the oracle of the integer one ------
 
-def fraction_scaled(coeffs):
-    den = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
-def fraction_substitute(bs, ws, vs):
-    """x_0..x_(n-1) as Fractions, v_m*x_m = b_m - sum w_k*x_(m-k)."""
-    (bs, db), (ws, dw) = fraction_scaled(bs), fraction_scaled(ws)
-    xs, den = [], 1
-    for b, v in zip(bs, vs):
-        s = b * dw * den - db * sum(map(mul, ws, reversed(xs)))
-        x = Fraction(s * v.denominator, db * dw * den * v.numerator)
-        if den % x.denominator:
-            scale = x.denominator // gcd(den, x.denominator)
-            xs = [y * scale for y in xs]
-            den *= scale
-        xs.append(x.numerator * (den // x.denominator))
-    return [Fraction(y, den) for y in xs]
-
-
 class FractionSeries:
-    """QSeries as it was before it stored integer numerators: a tuple of
-    Fractions, every operation written over them.  Only what the
-    differential tests call is kept."""
+    """A truncated series as a tuple of Fractions, every operation written
+    with the textbook loops above: the double loop multiplies, the
+    recurrences invert, exp and log, and poly_str_replace prints.  It
+    imports nothing from enumgeo.  Only what the differential tests call
+    is kept."""
 
     def __init__(self, coeffs, var="q", shift=0):
         self.coeffs = tuple(Fraction(c) for c in coeffs)
         self.var, self.shift = var, Fraction(shift)
         self.order = len(self.coeffs) - 1
+
+    def coefficients(self):
+        return self.coeffs
 
     def _new(self, coeffs, shift=0):
         return FractionSeries(coeffs, self.var, shift)
@@ -788,24 +797,17 @@ class FractionSeries:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self._new([other * c for c in self.coeffs], self.shift)
-        n = min(self.order, other.order) + 1
-        (xs, dx), (ys, dy) = (fraction_scaled(self.coeffs[:n]),
-                              fraction_scaled(other.coeffs[:n]))
-        return self._new([Fraction(z, dx * dy) for z in _product(xs, ys)],
-                         self.shift + other.shift)
+        return self._new(schoolbook(self, other), self.shift + other.shift)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             return self * (1 / Fraction(other))
-        n = min(self.order, other.order) + 1
-        xs = fraction_substitute(self.coeffs[:n], other.coeffs[1:n],
-                                 [other.coeffs[0]] * n)
-        return self._new(xs, self.shift - other.shift)
+        return self * other.invert()
 
     def invert(self):
-        return self._new([1] + [0] * self.order) / self
+        return self._new(invert_loop(self), -self.shift)
 
     def __pow__(self, e):
         if e == 0:
@@ -817,19 +819,16 @@ class FractionSeries:
         return result
 
     def exp(self):
-        khs = [-kh for kh in self.q_d_dq().coeffs[1:]]
-        return self._new(fraction_substitute(
-            [1] + [0] * self.order, khs, [1, *range(1, self.order + 1)]))
+        return self._new(exp_loop(self))
 
     def log(self):
-        d = (self.q_d_dq() / self).coeffs
-        return self._new([0] + [c / k for k, c in enumerate(d[1:], 1)])
+        return self._new(log_loop(self))
 
     def q_d_dq(self):
         return self._new([k * c for k, c in enumerate(self.coeffs)])
 
     def __str__(self):
-        body = (f"{_poly_str(self.coeffs, self.var)}"
+        body = (f"{poly_str_replace(self.coeffs, self.var)}"
                 f" + O({self.var}^{self.order + 1})")
         return f"{self.var}^({self.shift})*({body})" if self.shift else body
 
@@ -922,10 +921,15 @@ def oracle_operands(rng, needs):
 
 
 class TestFractionOracle:
-    """Every operation of the integer-backed QSeries against the Fraction
-    implementation it replaced, on seeded random series of orders 0-60
-    with zero, negative, 200-bit and non-unit-denominator coefficients
-    and nonzero shifts."""
+    """Every operation of the integer-backed QSeries against FractionSeries,
+    textbook Fraction code that shares no kernel with it, on seeded random
+    series of orders 0-60 with zero, negative, 200-bit and
+    non-unit-denominator coefficients and nonzero shifts."""
+
+    def test_oracle_imports_nothing_from_enumgeo(self, enumgeo_reads):
+        methods = [f for f in vars(FractionSeries).values()
+                   if inspect.isfunction(f)]
+        assert enumgeo_reads(*methods) == set()
 
     @pytest.mark.parametrize("name", list(ORACLE_OPS))
     def test_matches(self, name):
