@@ -22,7 +22,6 @@ centre c_0 mod p_0, so each call caches the leaf histogram of every
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from math import isqrt, lcm
 
@@ -91,6 +90,7 @@ def count_by_norm(gram, norm_max: int) -> list:
     for i, row in enumerate(rows):
         p = row[i]
         if p <= 0:
+            from fractions import Fraction
             raise NotPositiveDefinite(
                 f"pivot {i} is {Fraction(p, prev)}; "
                 "the form has a non-positive direction")

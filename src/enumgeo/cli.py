@@ -13,9 +13,12 @@ same as when every parser is built.
 Each request also imports only the modules its command runs: ``expand``
 imports ``invariants`` and ``modforms``, ``sw`` imports ``invariants``,
 ``fit`` imports ``modforms``, ``verify`` imports the ``verify`` module, and
-``lattice`` imports none of them.  ``json`` is imported only for
-``--format json`` and ``sw mochizuki``.  The full tree, built for help and
-usage errors, imports them all.
+``lattice`` imports none of them.  Importing this module loads ``lattice``
+but neither ``series`` nor ``fractions``: those load with the first command
+that builds a series or a rational, and ``lattice exceptional`` text output
+loads ``series`` through ``SurfaceLattice.format_vector``.  ``json`` is
+imported only for ``--format json`` and ``sw mochizuki``.  The full tree,
+built for help and usage errors, imports them all.
 
 Each command returns ``(rc, text)``: its exit code and its whole stdout,
 without the final newline, and writes nothing to stdout itself.  ``main``
@@ -34,13 +37,16 @@ import argparse
 import os
 import sys
 import warnings
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import lattice as lat
-from .series import QSeries
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def _parse_rational(text: str) -> Fraction:
+    from fractions import Fraction
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -103,6 +109,7 @@ _EXPAND = {
 
 def _cmd_expand(args) -> tuple:
     from . import invariants as inv, modforms as mf
+    from .series import QSeries
     order = _resolve_order(args)
     series, words = _EXPAND[args.target](args, order, inv, mf)
     if args.format == "json":
@@ -213,6 +220,7 @@ def _wall(value, kind: type):
 
 
 def _pair_to_fraction(pair) -> Fraction:
+    from fractions import Fraction
     if len(_wall(pair, list)) != 2 or _wall(pair[1], int) == 0:
         raise ValueError("wall file: expected [numerator, nonzero "
                          f"denominator], got {pair!r}")

@@ -16,7 +16,6 @@ from typing import Iterable, Sequence
 
 from . import _shortvec
 from ._shortvec import NotPositiveDefinite
-from .series import _signed_sum
 
 Vector = tuple  # integer coordinate tuples
 
@@ -76,6 +75,8 @@ class SurfaceLattice:
                                 f"{type(label).__name__}")
             if not label:
                 raise ValueError("basis labels must not be empty")
+        if len(set(self.basis_labels)) != len(self.basis_labels):
+            raise ValueError("basis labels must be distinct")
         if len(self.basis_labels) != self.rank:
             raise DimensionMismatch("one label per basis vector required")
         if self.canonical is not None:
@@ -137,6 +138,7 @@ class SurfaceLattice:
 
     def format_vector(self, v: Sequence) -> str:
         """The signed sum c_1*label_1 + ... of the nonzero coordinates."""
+        from .series import _signed_sum
         return _signed_sum(zip(self.basis_labels, self._check_vector(v)))
 
     def to_json_dict(self) -> dict:

@@ -607,6 +607,9 @@ class BiSeries(_Frozen):
                  order: int | None = None):
         _check_name(var_q, "var_q")
         _check_name(var_t, "var_t")
+        if var_q == var_t:
+            raise SeriesError(f"var_q and var_t must differ, both are "
+                              f"{var_q!r}")
         polys = _padded([self._trim([index(c) for c in poly])
                          for poly in coeffs], order, (0,))
         for k, poly in enumerate(polys):

@@ -753,27 +753,37 @@ class TestFreshProcess(object):
     import that is missing."""
 
     DEFERRED = ("enumgeo.invariants", "enumgeo.modforms", "enumgeo.verify",
-                "json")
-    # prints, as its last line, the deferred modules loaded after the
-    # import and after each of two requests
+                "enumgeo.series", "fractions", "decimal", "json")
+    # the lattice requests that build no series and print no class
+    LATTICE = [("lattice", "pair", "--u", "F", "--v", "B"),
+               ("lattice", "genus", "--beta", "F"),
+               ("lattice", "signature", "--sublattice", "e8"),
+               ("lattice", "enumerate", "--norm-max", "4")]
+    # runs the requests %r and prints, as its last line, the deferred
+    # modules loaded after the import and after each request
     PROBE = """\
 import sys
 before, deferred, loaded = set(sys.modules), set(sys.argv[1:]), []
 import enumgeo.cli as cli
+from enumgeo import lattice
 loaded.append(sorted(deferred & (set(sys.modules) - before)))
-cli.main(["lattice", "pair", "--u", "F", "--v", "B"])
-loaded.append(sorted(deferred & (set(sys.modules) - before)))
-cli.main(["verify", "discriminant"])
-loaded.append(sorted(deferred & (set(sys.modules) - before)))
+for argv in %r:
+    cli.main(argv)
+    loaded.append(sorted(deferred & (set(sys.modules) - before)))
 print(loaded)
 """
 
     def test_import_loads_no_deferred_module(self):
-        proc = run_python("-c", self.PROBE, *self.DEFERRED)
+        requests = [[*argv, "--format", fmt] for fmt in ("text", "json")
+                    for argv in self.LATTICE] + [["verify", "discriminant"]]
+        proc = run_python("-c", self.PROBE % (requests,), *self.DEFERRED)
         assert proc.returncode == 0, proc.stderr
-        after_import, after_lattice, after_verify = ast.literal_eval(
+        after_import, *after_lattice, after_verify = ast.literal_eval(
             proc.stdout.splitlines()[-1])
-        assert after_import == after_lattice == []
+        assert after_import == []
+        # of the lattice requests, only enumerate's JSON payload needs json
+        assert after_lattice == [[]] * 7 + [["json"]]
+        assert "enumgeo.series" in after_verify
         assert "enumgeo.verify" in after_verify
 
     # one request per parser of the full tree: its 12 leaves, the root and
@@ -808,3 +818,76 @@ print(loaded)
         proc = run_python("-m", "enumgeo.cli", *argv)
         got = (proc.returncode, proc.stdout, proc.stderr)
         assert got == TestPathTree.outcome(capsys, argv)
+
+
+class TestPackageNamespace(object):
+    """``enumgeo`` imports a submodule when one of its names is first read,
+    so only a fresh interpreter sees what a bare ``import enumgeo`` loads
+    and how each name resolves."""
+
+    # the 25 names ``enumgeo`` exports, as ``submodule.name``
+    EXPORTS = [f"series.{name}" for name in (
+        "QSeries", "SeriesError", "VariableMismatch", "ShiftMismatch",
+        "NonUnitConstantTerm", "NonzeroConstantTerm", "ConstantTermNotOne",
+        "OrderExceeded", "product_family", "int_binomial")] + [
+        f"lattice.{name}" for name in (
+            "SurfaceLattice", "DimensionMismatch", "NoCanonicalClass",
+            "ParityViolation", "DegenerateForm", "NotPositiveDefinite",
+            "make_gamma19", "make_del_pezzo", "gamma19_named_vectors",
+            "e8_minus_basis", "e8_cartan_matrix", "e8_lattice",
+            "enumerate_vectors", "enumeration_backend",
+            "exceptional_classes")]
+    # reads the names of argv[2:] (``submodule.name``, or a submodule) from
+    # ``enumgeo`` as argv[1] says, and prints a report as its last line
+    PROBE = """\
+import sys
+import enumgeo
+how, paths = sys.argv[1], sys.argv[2:]
+names = {path.rpartition(".")[2]: path for path in paths}
+report = {"undir": sorted(set(names) - set(dir(enumgeo))),
+          "loaded": sorted(m for m in sys.modules if m.startswith("enumgeo."))}
+got = {}
+if how == "star":
+    exec("from enumgeo import *", got)
+elif how == "from":
+    for name in names:
+        try:
+            exec(f"from enumgeo import {name}", got)
+        except ImportError:
+            pass
+else:
+    got = {name: getattr(enumgeo, name) for name in names
+           if hasattr(enumgeo, name)}
+got.pop("__builtins__", None)
+
+def home(path):
+    module, _, name = path.rpartition(".")
+    if not module:
+        return sys.modules["enumgeo." + name]
+    return getattr(sys.modules["enumgeo." + module], name)
+
+report["bound"] = sorted(got)
+report["wrong"] = sorted(name for name in got
+                         if got[name] is not home(names[name]))
+try:
+    enumgeo.no_such_name
+except AttributeError as exc:
+    report["unknown"] = str(exc)
+print(report)
+"""
+
+    @pytest.mark.parametrize("how", ["getattr", "from", "star"])
+    def test_names_resolve_on_first_use(self, how):
+        paths = [*self.EXPORTS, "series", "lattice", "_shortvec"]
+        proc = run_python("-c", self.PROBE, how, *paths)
+        assert proc.returncode == 0, proc.stderr
+        report = ast.literal_eval(proc.stdout.splitlines()[-1])
+        assert report["loaded"] == []
+        assert report["undir"] == []
+        # a star import binds what it bound when the package imported its
+        # two submodules eagerly: the exports and those submodules
+        bound = paths[:-1] if how == "star" else paths
+        assert report["bound"] == sorted(p.rpartition(".")[2] for p in bound)
+        assert report["wrong"] == []
+        assert report["unknown"] == (
+            "module 'enumgeo' has no attribute 'no_such_name'")

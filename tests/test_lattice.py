@@ -363,12 +363,16 @@ class TestErrorPaths(object):
         (lambda: lat.SurfaceLattice(rank=2, gram=((1, 0), (0, 1)),
                                     basis_labels=("", "b")),
          ValueError, "basis labels must not be empty"),
+        (lambda: lat.SurfaceLattice(rank=2, gram=((1, 0), (0, 1)),
+                                    basis_labels=("a", "a")),
+         ValueError, "basis labels must be distinct"),
         (lambda: lat.SurfaceLattice(rank=1, gram=((1,),),
                                     basis_labels=[["x"]]),
          TypeError, "basis labels must be str, got list"),
     ], ids=["gram-shape", "label-count", "no-canonical", "del-pezzo-9",
             "negative-norm-max", "negative-degree-bound", "float-norm-max",
-            "str-labels", "int-labels", "empty-label", "list-label"])
+            "str-labels", "int-labels", "empty-label", "repeated-label",
+            "list-label"])
     def test_raises(self, call, cls, message):
         with pytest.raises(cls) as exc:
             call()

@@ -663,6 +663,8 @@ class TestErrorPaths:
          SeriesError, "var_q must not be empty"),
         (lambda: BiSeries([(1,), (0, 1)], var_t=None),
          TypeError, "var_t must be a str, got NoneType"),
+        (lambda: BiSeries([(1,), (0, 1)], var_q="t", var_t="t"),
+         SeriesError, "var_q and var_t must differ, both are 't'"),
         (lambda: product_family(lambda m: -1, 3, var=""),
          SeriesError, "var must not be empty"),
         (lambda: product_family(lambda m: -1, 3, var=7),
@@ -679,6 +681,7 @@ class TestErrorPaths:
             "biseries-mul-int", "biseries-setattr", "int-binomial-j-neg",
             "json-shift-den-0", "json-coeff-den-0", "var-empty", "var-none",
             "var-bytes", "biseries-var-q-empty", "biseries-var-t-none",
+            "biseries-same-vars",
             "product-family-var-empty", "product-family-var-int",
             "json-var-empty", "biseries-json-var-t-none"])
     def test_raises(self, call, cls, message):
