@@ -10,11 +10,11 @@ refactor cannot retire a mutant without a word; if the mutated file does
 not compile, since every test of a file that fails to import fails; or if
 a mutant names a test whose file, class or function does not exist.  It
 then copies ``src/``, ``tests/``, ``pyproject.toml`` and the files the
-tests read (``README.md``, ``geobench/goldens.json``, ``geobench/jobs.py``)
-to a temporary directory: pytest's ``pythonpath = ["src"]`` imports the
-tree it runs in, so a mutant must be applied to a copy.  The unmutated copy
-must pass every named test; then each mutant is applied alone and only its
-tests run.
+tests read (``README.md``, ``geobench/goldens.json``, ``geobench/jobs.py``,
+``geobench/oracles.py``) to a temporary directory: pytest's
+``pythonpath = ["src"]`` imports the tree it runs in, so a mutant must be
+applied to a copy.  The unmutated copy must pass every named test; then
+each mutant is applied alone and only its tests run.
 
 Exit status: 0 when every mutant is killed, 1 when a mutant survives or the
 unmutated copy fails, 2 when the deck is refused.  Not part of tier-1: it
@@ -37,7 +37,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 DECK = Path(__file__).with_name("deck.json")
 COPIED = ("src", "tests", "pyproject.toml", "README.md",
-          "geobench/goldens.json", "geobench/jobs.py")
+          "geobench/goldens.json", "geobench/jobs.py", "geobench/oracles.py")
 
 
 @functools.cache

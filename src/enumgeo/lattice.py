@@ -75,6 +75,9 @@ class SurfaceLattice:
                                 f"{type(label).__name__}")
             if not label:
                 raise ValueError("basis labels must not be empty")
+            if not label.isidentifier():
+                raise ValueError(f"basis labels must be identifiers, got "
+                                 f"{label!r}")
         if len(set(self.basis_labels)) != len(self.basis_labels):
             raise ValueError("basis labels must be distinct")
         if len(self.basis_labels) != self.rank:

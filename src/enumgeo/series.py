@@ -238,11 +238,13 @@ def _json_fraction(num, den, field: str) -> Fraction:
 
 def _check_name(name, field: str) -> None:
     """Refuse a variable name the printers would misstate: TypeError
-    unless it is a str, SeriesError if it is empty."""
+    unless it is a str, SeriesError if it is empty or not an identifier."""
     if not isinstance(name, str):
         raise TypeError(f"{field} must be a str, got {type(name).__name__}")
     if not name:
         raise SeriesError(f"{field} must not be empty")
+    if not name.isidentifier():
+        raise SeriesError(f"{field} must be an identifier, got {name!r}")
 
 
 def _signed_sum(terms) -> str:

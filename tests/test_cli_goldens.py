@@ -13,31 +13,23 @@ digests are taken with its ``digest``, the function the goldens were made
 with.
 """
 
-import importlib.util
 import json
 import re
-import sys
-from pathlib import Path
 
 import pytest
 
+from conftest import GEOBENCH, geobench
 from enumgeo import cli
 from enumgeo import modforms as mf
 
-GEOBENCH = Path(__file__).resolve().parents[1] / "geobench"
 GOLDENS = GEOBENCH / "goldens.json"
 SKIPPED = ("--method lattice", "verify all", "verify theta-cross-method")
 LONG_SCAN = re.compile(r"--norm-max (1[5-9]|[2-9]\d|[1-9]\d\d+)\b")
 
 
 def load_jobs():
-    """``geobench/jobs.py`` as a module; ``dataclass`` needs it in
-    ``sys.modules`` while it runs."""
-    spec = importlib.util.spec_from_file_location("geobench_jobs",
-                                                  GEOBENCH / "jobs.py")
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    """``geobench/jobs.py`` as a module."""
+    return geobench("jobs")
 
 
 def goldens(workload):

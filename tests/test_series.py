@@ -10,6 +10,7 @@ from math import comb, factorial, gcd, lcm
 
 import pytest
 
+from conftest import binomial
 from enumgeo.invariants import SURFACES, goettsche_series
 from enumgeo.modforms import eisenstein
 from enumgeo.series import (
@@ -87,7 +88,7 @@ def binomial_product(exponent, order):
         e = exponent(m)
         new = list(acc)
         for j in range(1, order // m + 1):
-            c = (-1) ** j * int_binomial(e, j)
+            c = (-1) ** j * binomial(e, j)
             for k in range(order - m * j + 1):
                 new[k + m * j] += c * acc[k]
         acc = new
@@ -676,6 +677,16 @@ class TestErrorPaths:
         (lambda: BiSeries.from_json_dict(
             {"var_q": "q", "var_t": None, "order": 0, "coeffs": [["1"]]}),
          TypeError, "var_t must be a str, got NoneType"),
+        (lambda: QSeries([1, 2, 3], var="q^2"),
+         SeriesError, "var must be an identifier, got 'q^2'"),
+        (lambda: BiSeries([(1,), (0, 1)], var_t="t 1"),
+         SeriesError, "var_t must be an identifier, got 't 1'"),
+        (lambda: product_family(lambda m: -1, 3, var="2*q"),
+         SeriesError, "var must be an identifier, got '2*q'"),
+        (lambda: QSeries.from_json_dict(
+            {"var": "-q", "shift": ["0", "1"], "order": 0,
+             "coeffs": [["1", "1"]]}),
+         SeriesError, "var must be an identifier, got '-q'"),
     ], ids=["gen-order-0", "divide-by-0", "log-shifted", "add-str",
             "sub-str", "str-sub", "mul-str", "div-str", "pow-str",
             "biseries-mul-int", "biseries-setattr", "int-binomial-j-neg",
@@ -683,7 +694,9 @@ class TestErrorPaths:
             "var-bytes", "biseries-var-q-empty", "biseries-var-t-none",
             "biseries-same-vars",
             "product-family-var-empty", "product-family-var-int",
-            "json-var-empty", "biseries-json-var-t-none"])
+            "json-var-empty", "biseries-json-var-t-none", "var-power",
+            "biseries-var-t-space", "product-family-var-product",
+            "json-var-signed"])
     def test_raises(self, call, cls, message):
         with pytest.raises(cls) as exc:
             call()
