@@ -5,10 +5,10 @@ lattice (pairings, signatures, vector counts, exceptional classes),
 sw (Seiberg-Witten values and wall-crossing sums), fit (exact linear
 fitting of quasi-modular polynomials).
 
-Each request builds only its own command's parsers: the root, the group
-(``lattice`` or ``sw``) if there is one, and the leaf.  Argparse errors, and
-help on the root or a group, come from the full tree, so their text is the
-same as when every parser is built.
+Each request builds one parser: the leaf that argv's first one or two
+words name (``expand``, ``lattice pair``), which parses the words after
+them.  Argparse errors, and help on the root or a group, come from the full
+tree, so their text is the same as when every parser is built.
 
 Each request also imports only the modules its command runs: ``expand``
 imports ``invariants`` and ``modforms``, ``sw`` imports ``invariants``,
@@ -299,7 +299,7 @@ def _cut(line: str) -> str:
 
 
 class _Fallback(Exception):
-    """Raised by a path tree's parsers instead of printing an error."""
+    """Raised by a leaf parser built alone instead of printing an error."""
 
 
 class _TreeParser(argparse.ArgumentParser):
@@ -313,36 +313,43 @@ class _PathParser(argparse.ArgumentParser):
 
 
 def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The full argparse tree, or, given argv, only the parsers on argv's
-    command path: the root, the group (``lattice`` or ``sw``) if there is
-    one, and the leaf.  A path tree's parsers raise ``_Fallback`` from
-    ``error()`` instead of printing, and argv that names no leaf gets the
-    full tree; the full tree prints every error, cut as ``main`` cuts its
-    own, and all group help."""
+    """The full argparse tree, or, given argv, the one leaf parser that
+    argv's first one or two words name.  The leaf is built alone, with the
+    ``prog`` a subparser gets ("enumgeo lattice pair") and ``subcommand``
+    and ``query`` as defaults, so its usage, help and namespace are those of
+    the full tree's leaf; it parses the argv after its command words and
+    raises ``_Fallback`` from ``error()`` instead of printing.  Argv that
+    names no leaf gets the full tree, which prints every error, cut as
+    ``main`` cuts its own, and all root and group help."""
     words = None if argv is None else list(argv[:2])
-    parser = (_TreeParser if words is None else _PathParser)(
-        prog="enumgeo",
-        description="Exact q-series, modular forms and surface-lattice "
-                    "arithmetic for enumerative invariants.")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    parser = sub = None
+    if words is None:
+        parser = _TreeParser(
+            prog="enumgeo",
+            description="Exact q-series, modular forms and surface-lattice "
+                        "arithmetic for enumerative invariants.")
+        sub = parser.add_subparsers(dest="subcommand", required=True)
     leaves = []
 
-    def subparser(sub, path, **kwargs):
-        """The parser of ``path`` ("sw p2"), or None off argv's path."""
-        names = path.split()
-        if sub is None or words is not None and words[:len(names)] != names:
-            return None
-        return sub.add_parser(names[-1], **kwargs)
-
-    def group(sub, path, **kwargs):
-        p = subparser(sub, path, **kwargs)
-        return p and p.add_subparsers(dest="query", required=True)
+    def group(sub, name, **kwargs):
+        """The subcommands of group ``name``, or None for a leaf request."""
+        return sub and sub.add_parser(name, **kwargs).add_subparsers(
+            dest="query", required=True)
 
     def command(sub, path, func, **kwargs):
-        p = subparser(sub, path, **kwargs)
-        if p:
-            p.set_defaults(func=func)
-            leaves.append(p)
+        """The parser of ``path`` ("sw p2"): a subparser in the full tree,
+        the lone leaf if argv names it, else None."""
+        names = path.split()
+        if words is None:
+            p = sub.add_parser(names[-1], **kwargs)
+        elif words[:len(names)] == names:
+            kwargs.pop("help")  # the parent lists it; a lone leaf has none
+            p = _PathParser(prog=f"enumgeo {path}", **kwargs)
+            p.set_defaults(**dict(zip(("subcommand", "query"), names)))
+        else:
+            return None
+        p.set_defaults(func=func)
+        leaves.append(p)
         return p
 
     if p := command(sub, "expand", _cmd_expand,
@@ -431,15 +438,22 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
         p.add_argument("--order", type=int, default=None,
                        help="truncation order (default 20, or ENUMGEO_ORDER)")
         p.add_argument("--format", choices=("text", "json"), default="text")
-    return parser
+    return leaves[0] if parser is None else parser
+
+
+def _parse(argv: list) -> argparse.Namespace:
+    """argv parsed by its leaf alone, from the words after the command
+    words that the leaf's ``prog`` names; by the full tree where the leaf
+    refuses it or argv names no leaf."""
+    parser = build_parser(argv)
+    try:
+        return parser.parse_args(argv[len(parser.prog.split()) - 1:])
+    except _Fallback:  # the full tree prints the error and exits 2
+        return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    try:
-        args = build_parser(argv).parse_args(argv)
-    except _Fallback:  # the full tree prints the error and exits 2
-        args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         rc, out = args.func(args)
         sys.stdout.write(f"{out}\n")

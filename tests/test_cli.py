@@ -582,18 +582,19 @@ class TestParser(object):
 
 
 class TestPathTree(object):
-    """``cli.main`` parses with only the parsers on argv's command path; the
-    full tree, which ``build_parser()`` declares, is the oracle."""
+    """``cli.main`` parses with argv's leaf parser alone; the full tree,
+    which ``build_parser()`` declares, is the oracle."""
 
     @staticmethod
-    def parse(parser, argv):
-        """``vars()`` of the parse, or "error" where argparse refuses argv."""
+    def parse(parse_args, argv):
+        """``vars()`` of ``parse_args(argv)``, or "error" where argparse
+        refuses argv."""
         try:
-            return vars(parser.parse_args(argv))
-        except (SystemExit, cli._Fallback):
+            return vars(parse_args(argv))
+        except SystemExit:
             return "error"
 
-    def test_grid_parses_as_with_the_full_tree(self, capsys):
+    def test_grid_parses_as_with_the_full_tree(self, capsys, parsers):
         jobs = load_jobs()
         requests = [list(itertools.chain.from_iterable(params))
                     for _, params in jobs.grid("cli-fresh")]
@@ -601,9 +602,13 @@ class TestPathTree(object):
         full = cli.build_parser()
         refused = 0
         for argv in requests:
-            want = self.parse(full, argv)
-            assert self.parse(cli.build_parser(argv), argv) == want, argv
-            refused += want == "error"
+            want = self.parse(full.parse_args, argv)
+            parsers.clear()
+            assert self.parse(cli._parse, argv) == want, argv
+            if want == "error":
+                refused += 1
+            else:   # the leaf alone parsed it: no fallback to the full tree
+                assert len(parsers) == 1, argv
         assert refused >= 1     # expand eisenstein --order x
         capsys.readouterr()
 
@@ -641,17 +646,25 @@ class TestPathTree(object):
         monkeypatch.setattr(cli, "build_parser", lambda argv=None: full())
         assert got == self.outcome(capsys, argv)
 
-    @pytest.fixture
-    def formatters(self, monkeypatch):
-        """A list that grows by one per ``HelpFormatter`` constructed."""
+    @staticmethod
+    def counter(monkeypatch, cls):
+        """A list that grows by one per ``cls`` constructed."""
         made = []
-        init = argparse.HelpFormatter.__init__
+        init = cls.__init__
 
         def counted(self, *args, **kwargs):
             made.append(self)
             init(self, *args, **kwargs)
-        monkeypatch.setattr(argparse.HelpFormatter, "__init__", counted)
+        monkeypatch.setattr(cls, "__init__", counted)
         return made
+
+    @pytest.fixture
+    def formatters(self, monkeypatch):
+        return self.counter(monkeypatch, argparse.HelpFormatter)
+
+    @pytest.fixture
+    def parsers(self, monkeypatch):
+        return self.counter(monkeypatch, argparse.ArgumentParser)
 
     def test_full_tree_builds_67_formatters(self, formatters):
         cli.build_parser()
@@ -675,13 +688,14 @@ class TestPathTree(object):
     @pytest.mark.parametrize("argv", LEAF_REQUESTS,
                              ids=[" ".join(a[:2]) for a in LEAF_REQUESTS])
     def test_leaf_request_builds_at_most_11_formatters(
-            self, capsys, tmp_path, formatters, argv):
+            self, capsys, tmp_path, formatters, parsers, argv):
         wall = tmp_path / "wall.json"
         wall.write_text(json.dumps(TestSW().mochizuki_payload()))
         rc, _, err = run_cli(capsys, *[str(wall) if word == "@wall" else word
                                        for word in argv])
         assert (rc, err) == (0, "")
-        assert len(formatters) <= 11
+        assert len(parsers) == 1
+        assert len(formatters) <= 9
 
 
 class TestOrderResolution(object):
