@@ -69,6 +69,8 @@ class SurfaceData:
             raise ValueError("five Betti numbers b0..b4 required")
         object.__setattr__(self, "betti", b)
         _exact_ints(self, "chi_top", "chi_O", "p_g")
+        if not isinstance(self.b1_zero, bool):
+            raise TypeError(f"b1_zero must be a bool, got {self.b1_zero!r}")
         alt = b[0] - b[1] + b[2] - b[3] + b[4]
         if alt != self.chi_top:
             raise ValueError(

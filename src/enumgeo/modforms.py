@@ -7,6 +7,9 @@ polynomials against prescribed series coefficients.  Every series in a fit
 has integer coefficients, so the fit builds its columns as integer lists,
 one packed product (``series._product``) each, and hands integer rows to
 ``solve_exact``.
+
+The lattice counts of each theta order are kept for the life of the
+process; ``_theta_counts.cache_clear()`` forgets them.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cache, reduce
 from typing import Sequence
 
 from . import lattice as _lattice
@@ -73,8 +76,10 @@ def eta_quotient(exponent: int, order: int) -> QSeries:
     return f.with_shift(Fraction(exponent, 24))
 
 
-@lru_cache(maxsize=8)
+@cache
 def _theta_counts(order: int) -> tuple:
+    """The E8 vector counts of norms 0, 2, ..., 2*order, scanned once per
+    order for the life of the process."""
     counts = _lattice.enumerate_vectors(_lattice.e8_lattice(), 2 * order)
     odd = [n for n in counts if n % 2 and counts[n]]
     if odd:

@@ -687,7 +687,7 @@ class TestPathTree(object):
 
     @pytest.mark.parametrize("argv", LEAF_REQUESTS,
                              ids=[" ".join(a[:2]) for a in LEAF_REQUESTS])
-    def test_leaf_request_builds_at_most_11_formatters(
+    def test_leaf_request_builds_one_parser(
             self, capsys, tmp_path, formatters, parsers, argv):
         wall = tmp_path / "wall.json"
         wall.write_text(json.dumps(TestSW().mochizuki_payload()))

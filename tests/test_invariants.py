@@ -711,6 +711,11 @@ class TestExactInputs(object):
                                 chi_O=2.0, p_g=1),
         lambda: inv.SurfaceData(betti=(1, 0, 22, 0, 1), chi_top=24,
                                 chi_O=2, p_g=Fraction(1)),
+        # "no" is truthy and 0 falsy: either would pick the b1 = 0 check
+        lambda: inv.SurfaceData(betti=(1, 0, 22, 0, 1), chi_top=24,
+                                chi_O=2, p_g=1, b1_zero="no"),
+        lambda: inv.SurfaceData(betti=(1, 4, 6, 4, 1), chi_top=0,
+                                chi_O=0, p_g=1, b1_zero=0),
         lambda: inv.BiSeries([[1], [1.7]]),
         lambda: inv.gromov_conditions(1.0, 1),
         lambda: inv.ChernVector(2.5, 1, 0, 1, 1),
@@ -745,6 +750,7 @@ class TestExactInputs(object):
                                    basis_labels=("x",)),
     ], ids=["SurfaceLattice.gram", "adjunction_genus", "SurfaceData.betti",
             "SurfaceData.chi_top", "SurfaceData.chi_O", "SurfaceData.p_g",
+            "SurfaceData.b1_zero.str", "SurfaceData.b1_zero.int",
             "BiSeries", "gromov_conditions", "ChernVector.r",
             "ChernVector.a_K", "SWDecomposition.sw_a1",
             "fit_quasi_homogeneous.exponent",

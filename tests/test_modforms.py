@@ -1,11 +1,14 @@
 """Modular-forms tests: divisor-sum oracles, classical identities,
 theta cross-checks, monomial bases, exact fitting."""
 
+import importlib
+import pkgutil
 import random
 from fractions import Fraction
 
 import pytest
 
+import enumgeo
 from conftest import geobench
 from enumgeo import modforms as mf
 from enumgeo.series import QSeries, SeriesError, product_family
@@ -227,6 +230,36 @@ class TestThetaE8:
         monkeypatch.setattr(mf, "_theta_counts", no_scan)
         with pytest.raises(SeriesError, match=r"^order must be >= 0, got -1$"):
             mf.theta_e8(-1, method)
+
+    def test_each_order_scanned_once(self, monkeypatch):
+        scans = []
+        scan = mf._lattice.enumerate_vectors
+        monkeypatch.setattr(mf._lattice, "enumerate_vectors",
+                            lambda *args: scans.append(args) or scan(*args))
+        mf._theta_counts.cache_clear()
+        for _ in range(2):
+            for order in range(1, 10):
+                got = mf.theta_e8(order, "lattice").coefficients()
+                assert list(got) == oracles.theta_e8(order)
+        info = mf._theta_counts.cache_info()
+        assert (info.misses, info.hits, len(scans)) == (9, 9, 9)
+        mf._theta_counts.cache_clear()
+        mf.theta_e8(3, "lattice")
+        assert len(scans) == 10
+
+    def test_no_cache_survives_clear_caches(self):
+        # the benchmark's cli-fresh requests model fresh processes, so
+        # jobs.clear_caches must empty every module-level cache
+        jobs = geobench("jobs")
+        caches = set()
+        for info in pkgutil.iter_modules(enumgeo.__path__):
+            module = importlib.import_module(f"enumgeo.{info.name}")
+            caches |= {value for value in vars(module).values()
+                       if hasattr(value, "cache_clear")}
+        mf.theta_e8(2, "lattice")
+        jobs.clear_caches()
+        assert caches == {mf._theta_counts}
+        assert all(c.cache_info().currsize == 0 for c in caches)
 
 
 class TestMonomialBasis:
