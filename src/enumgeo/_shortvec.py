@@ -10,14 +10,14 @@ w_i = LAM/(p_(i-1)*p_i), so LAM*Q(x) = sum_i w_i*t_i**2 and the remaining
 budget stays an exact integer throughout the depth-first scan.  No floating
 point anywhere, so counts are exact for any norm bound.
 
-The scan is a half-space scan: Q(x) = Q(-x), so it visits only the zero
-vector and the vectors whose highest-index nonzero coordinate is positive,
-and counts each of those twice (Fincke & Pohst, Math. Comp. 44, 1985, on
-the enumeration).  So x_i >= 0 while the budget is whole, LAM*norm_max,
-as it is exactly while every higher coordinate is 0.  Level 0 is a lookup:
-its share of the histogram depends only on the remaining budget and on the
-centre c_0 mod p_0, so each call caches the leaf histogram of every
-(budget, c_0 mod p_0) it meets and adds the cached one on every repeat.
+The scan is a half-space scan (Fincke & Pohst, Math. Comp. 44, 1985):
+Q(x) = Q(-x), so it visits only the zero vector and the vectors whose
+highest-index nonzero coordinate is positive, counts every vector it finds
+twice and sets the count at norm 0 to 1 at the end.  x_i >= 0 while the
+budget is whole, LAM*norm_max, as it is exactly while every higher
+coordinate is 0.  Level 0 is a lookup: its share of the histogram depends
+only on the remaining budget and on c_0 mod p_0, so each call caches it
+once per (budget, c_0 mod p_0) and adds the cached one on every repeat.
 """
 
 from __future__ import annotations
@@ -82,7 +82,8 @@ def count_by_norm(gram, norm_max: int) -> list:
     (LAM*norm_max - budget + w_0*t_0**2)/LAM depends on nothing but the
     budget and t_0.  So level 1 reads each leaf from ``leaf``, a
     ``functools.cache`` local to the call on (budget, c_0 mod p_0), whose
-    values are tuples of (norm index, multiplicity) pairs.
+    values count each vector found twice, as (norm index, multiplicity)
+    pairs.  The zero vector alone has norm 0, so counts[0] is set to 1 last.
     """
     rows = pivot_rows(gram)
     rank = len(rows)
@@ -128,11 +129,11 @@ def count_by_norm(gram, norm_max: int) -> list:
             t = p0 * x + r
             n = (base + w0 * t * t) // lam
             hist[n] = hist.get(n, 0) + 2
-        if budget == budget0:
-            hist[0] -= 1        # the zero vector is its own negative
         return tuple(hist.items())
 
     def descend(i: int, budget: int) -> None:
+        """Scan level i.  Its centre reads xs[j] for j > i, level 0's for
+        j >= 1, each set by a loop still in its pass: none is stale."""
         c = 0
         for j, a in offsets[i]:
             c += a * xs[j]
@@ -148,11 +149,11 @@ def count_by_norm(gram, norm_max: int) -> list:
                     c0 += a * xs[j]
                 for n, m in leaf(budget - w * t * t, c0 % p0):
                     counts[n] += m
-        xs[i] = 0
 
     if rank == 1:
         for n, m in leaf(budget0, 0):
             counts[n] += m
     else:
         descend(rank - 1, budget0)
+    counts[0] = 1               # the zero vector is its own negative
     return counts

@@ -113,10 +113,7 @@ class SurfaceLattice:
         if self.canonical is None:
             raise NoCanonicalClass("lattice has no canonical class")
         b = self._check_vector(beta)
-        s = self.norm(b) + self.pair(self.canonical, b)
-        if s % 2:
-            raise ParityViolation(f"beta^2 + K*beta = {s} is odd")
-        return 1 + s // 2
+        return 1 + (self.norm(b) + self.pair(self.canonical, b)) // 2
 
     def signature(self) -> tuple:
         """(positive, negative) inertia indices: the signs of

@@ -154,6 +154,21 @@ class TestVerify(object):
         assert exc.value.code == 2
         capsys.readouterr()
 
+    def test_goettsche_specialization_reports_a_mismatch(self, monkeypatch):
+        # an Euler series off at q^3 fails every surface, and each report
+        # shows the first six coefficients of the t = -1 specialisation
+        euler = inv.hilb_euler_series
+        monkeypatch.setattr(inv, "hilb_euler_series", lambda s, order:
+                            euler(s, order) + QSeries([0, 0, 0, 1],
+                                                      order=order))
+        reports = ver.check_goettsche_specialization(8)
+        assert [r.check_name for r in reports] == [
+            f"goettsche-t-neg1-{name}" for name in inv.SURFACES]
+        for report, make in zip(reports, inv.SURFACES.values()):
+            spec = inv.goettsche_series(make(), 8).eval_t(-1)
+            want = tuple(int(c) for c in spec.coefficients()[:6])
+            assert (report.status, report.actual) == ("fail", str(want))
+
     def test_run_suite_unknown_name(self):
         with pytest.raises(KeyError) as exc:
             ver.run_suite("nope")

@@ -4,6 +4,7 @@ exceptional-class counts."""
 import itertools
 import json
 import random
+from fractions import Fraction
 from math import isqrt
 
 import pytest
@@ -348,10 +349,16 @@ class TestValidation(object):
                 basis_labels=("a", "b"), canonical=(0, 0))
 
     def test_characteristic_parity_enforced(self):
-        # canonical class must satisfy v.v = v.K mod 2 for basis vectors
-        with pytest.raises(lat.ParityViolation):
-            lat.SurfaceLattice(
-                rank=1, gram=((1,),), basis_labels=("h",), canonical=(0,))
+        # canonical class must satisfy v.v = v.K mod 2 for basis vectors;
+        # on A2 with K = (1, 0), a.a + K.a = 4 but b.b + K.b = 3
+        refused = [(((1,),), ("h",), (0,), "h"),
+                   (((2, 1), (1, 2)), ("a", "b"), (1, 0), "b")]
+        for gram, labels, canonical, label in refused:
+            with pytest.raises(lat.ParityViolation,
+                               match="^canonical class is not "
+                                     f"characteristic on {label}$"):
+                lat.SurfaceLattice(rank=len(gram), gram=gram,
+                                   basis_labels=labels, canonical=canonical)
 
     def test_format_vector(self, g19=None):
         g = lat.make_gamma19()
@@ -421,3 +428,19 @@ class TestDelPezzo(object):
         assert dp.rank == 4
         assert dp.norm(dp.canonical) == 9 - 3
         assert dp.signature() == (1, 3)
+
+
+class TestAdjunction(object):
+    @pytest.mark.parametrize("make", [lat.make_gamma19] + [
+        lambda k=k: lat.make_del_pezzo(k) for k in range(9)],
+        ids=["gamma19"] + [f"dp{k}" for k in range(9)])
+    def test_genus_is_the_exact_half(self, make):
+        # a characteristic K makes beta.beta + K.beta even for every beta,
+        # so the floored half that adjunction_genus returns is exact
+        g = make()
+        rng = random.Random(17)
+        for _ in range(200):
+            beta = tuple(rng.randint(-5, 5) for _ in range(g.rank))
+            want = 1 + Fraction(g.norm(beta) + g.pair(g.canonical, beta), 2)
+            assert want.denominator == 1, beta
+            assert g.adjunction_genus(beta) == want, beta

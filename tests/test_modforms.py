@@ -247,6 +247,20 @@ class TestThetaE8:
         mf.theta_e8(3, "lattice")
         assert len(scans) == 10
 
+    def test_count_at_an_odd_norm_is_a_fault(self, monkeypatch):
+        # E8 is even, so a scan that counts a vector of odd norm is wrong
+        counts = {0: 1, 1: 0, 2: 240, 3: 5, 4: 2160, 5: 7}
+        monkeypatch.setattr(mf._lattice, "enumerate_vectors",
+                            lambda lattice, norm_max: counts)
+        mf._theta_counts.cache_clear()
+        try:
+            with pytest.raises(AssertionError,
+                               match=r"^odd norms \[3, 5\] in an even "
+                                     r"lattice$"):
+                mf._theta_counts(2)
+        finally:
+            mf._theta_counts.cache_clear()
+
     def test_no_cache_survives_clear_caches(self):
         # the benchmark's cli-fresh requests model fresh processes, so
         # jobs.clear_caches must empty every module-level cache
